@@ -60,6 +60,9 @@
 # change trace bit-identical to a never-upgraded dispatcher fed the
 # same events; post-upgrade throughput vs cold start is wall-clock
 # and report-only.
+# The perfbench smoke (bin/perfbench_smoke.sh) runs every perfbench
+# workload for one second and fails unless each reports a correct result
+# with zero failed events.
 # After the smoke gates, bench_diff compares the gated counter ratios
 # (B11/B13/B16/B17/B19) against the committed bench/baseline.json and
 # fails on > 20% regression — see bin/bench_diff.sh for how to accept
@@ -99,4 +102,5 @@ fi
 
 dune exec bench/main.exe -- --smoke --json
 dune exec bench/main.exe -- --b20-smoke
+bin/perfbench_smoke.sh
 dune exec bench/diff.exe -- bench/baseline.json BENCH_core.json

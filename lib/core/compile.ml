@@ -18,6 +18,11 @@
      order. The plan is immutable and carries no instance state: it is the
      per-graph-shape template, built once and cached ([plan_of]).
 
+   - The plan also inverts the reachability analysis into a wake table:
+     per runtime source, the regions its events wake and, within each,
+     the ops of its cone ([wake]). Executors run exactly those ops, so
+     no reachability set is consulted per event.
+
    - An [arena] is everything one running instance owns: a flat block of
      per-node value/stamp slots plus a few extra state slots ([foldp]
      restart flags, [keep_when] gate history, composite step closures).
@@ -133,8 +138,20 @@ type exec = {
 (* ------------------------------------------------------------------ *)
 (* The plan: one immutable compiled template per graph shape *)
 
+(* One runtime source's row of the wake table: its static clock, in Bahr &
+   Mogelberg's sense, resolved to work. An event of the source touches
+   exactly these regions, and within each only these ops. *)
+type wake = {
+  w_cone : int;  (* nodes the source reaches (Reach.cone_size) *)
+  w_regions : int array;  (* woken region indices, ascending *)
+  w_ops : int array array;
+      (* parallel to [w_regions]: indices into that region's op array of
+         the ops whose node is in the cone (member op, async/delay tap,
+         display), in compiled order *)
+}
+
 type plan = {
-  p_regions : region list;
+  p_regions : region array;  (* region index -> region *)
   p_region_of : (int, int) Hashtbl.t;  (* node id -> region index *)
   p_cuts : (int * int) list;
       (* (inner node id, async/delay node id): dependency edges that carry
@@ -164,8 +181,12 @@ type plan = {
          upgrades remap state through the owner's structural key *)
   p_ops : (exec -> round -> unit) array array;
       (* region index -> op templates in execution order *)
+  p_op_nodes : int array array;  (* region index -> op index -> node id *)
+  p_wake_ids : int array;  (* runtime source ids, ascending *)
+  p_wake : wake array;  (* parallel to [p_wake_ids]: the wake table *)
   p_region_sources : Reach.set array;
-      (* region index -> sources reaching any member (the wake test) *)
+      (* region index -> sources reaching any member, read off the wake
+         table *)
   p_region_deps : (int * int) list;
       (* ordering edges between regions: (producer, consumer) for every
          async/delay seam whose endpoints live in different regions, plus
@@ -183,6 +204,7 @@ type plan = {
          Async/delay queues are unbounded (bounded=false): their tap runs
          on the instance's own step path, so blocking it on a full queue
          could deadlock the instance (see DESIGN.md). *)
+  p_unguarded : guarded array;  (* slot -> the stateless Propagate guard *)
   p_inputs : Signal.packed list;  (* Input nodes, for external injection *)
 }
 
@@ -198,9 +220,24 @@ let obj_array n fill =
   done;
   a
 
+(* Position of [v] in the ascending array [ids] between [lo] and [hi], or
+   -1. Source ids are global counters, too sparse to index an array by.
+   Closed over nothing, so a lookup allocates nothing. *)
+let rec search ids v lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let x = Array.unsafe_get ids mid in
+    if x = v then mid
+    else if x < v then search ids v (mid + 1) hi
+    else search ids v lo mid
+
+let index_in ids v = search ids v 0 (Array.length ids)
+
 let plan : type r. r Signal.t -> plan =
  fun root ->
   let order = Signal.reachable root in
+  let n = List.length order in
   let root_id = Signal.id root in
   (* Union-find over node ids; path-halving find, arbitrary union. *)
   let parent = Hashtbl.create 64 in
@@ -234,9 +271,10 @@ let plan : type r. r Signal.t -> plan =
   let index_of_class = Hashtbl.create 16 in
   let region_of = Hashtbl.create 64 in
   let buckets = Hashtbl.create 16 in  (* region index -> members, reversed *)
+  let region_of_slot = Array.make n 0 in
   let count = ref 0 in
-  List.iter
-    (fun (Signal.Pack s as p) ->
+  List.iteri
+    (fun sl (Signal.Pack s as p) ->
       let id = Signal.id s in
       let cls = find id in
       let idx =
@@ -249,6 +287,7 @@ let plan : type r. r Signal.t -> plan =
           i
       in
       Hashtbl.replace region_of id idx;
+      region_of_slot.(sl) <- idx;
       let prev = try Hashtbl.find buckets idx with Not_found -> [] in
       Hashtbl.replace buckets idx (p :: prev))
     order;
@@ -267,7 +306,6 @@ let plan : type r. r Signal.t -> plan =
   in
   (* ---- template compilation ---- *)
   let reach = Reach.analyze root in
-  let n = List.length order in
   let slot_of = Hashtbl.create n in
   List.iteri
     (fun i (Signal.Pack s) -> Hashtbl.replace slot_of (Signal.id s) i)
@@ -342,16 +380,12 @@ let plan : type r. r Signal.t -> plan =
   let queue_slots = ref [] in
   let inputs = ref [] in
   (* Deterministic op order: primary key is the node's global topological
-     position, secondary key orders a node's extra ops (async tap, display
-     send) right after its member op. *)
-  let pos = Hashtbl.create 64 in
-  List.iteri (fun i (Signal.Pack s) -> Hashtbl.replace pos (Signal.id s) i) order;
-  let acc : ((int * int) * (exec -> round -> unit)) list array =
-    Array.make !count []
-  in
+     position (its slot), secondary key orders a node's extra ops (async
+     tap, display send) right after its member op. *)
+  let node_ops : (int * (exec -> round -> unit)) list array = Array.make n [] in
   let add_op ~node ~rank op =
-    let idx = Hashtbl.find region_of node in
-    acc.(idx) <- ((Hashtbl.find pos node, rank), op) :: acc.(idx)
+    let sl = slot node in
+    node_ops.(sl) <- (rank, op) :: node_ops.(sl)
   in
   let finish (x : exec) ~id (r : round) ~changed =
     let stamped =
@@ -359,13 +393,11 @@ let plan : type r. r Signal.t -> plan =
     in
     if id = root_id then x.x_root_stamp <- stamped
   in
-  (* A member op: runs when the round reaches the node (always, under
-     flood), computes whether the node changed, accounts the emission. *)
+  (* A member op: computes whether the node changed and accounts the
+     emission. [run_region] calls it only on rounds that reach the node
+     (every round, under flood). *)
   let member ~id compute =
-    let rs = Reach.reaching reach id in
-    add_op ~node:id ~rank:0 (fun x r ->
-        if x.x_flood || Reach.set_mem r.source rs then
-          finish x ~id r ~changed:(compute x r))
+    add_op ~node:id ~rank:0 (fun x r -> finish x ~id r ~changed:(compute x r))
   in
   (* A source member: woken rounds carrying its own source id consume one
      pending value; all other active rounds are quiescent. *)
@@ -710,19 +742,105 @@ let plan : type r. r Signal.t -> plan =
         x.x_display ~epoch
           ~changed:(ar.ar_stamps.(root_slot) = r.epoch)
           ar.ar_values.(root_slot));
-  let ops =
-    Array.map
-      (fun pending ->
-        Array.of_list
-          (List.map snd
-             (List.sort (fun ((k1 : int * int), _) (k2, _) -> compare k1 k2)
-                pending)))
-      acc
+  (* Lay each region's ops out in slot order, a node's own ops by rank
+     (stable: equal ranks keep their reverse insertion order). A node's ops
+     are contiguous in its region: [slot_first.(sl)] and on. *)
+  let nregions = !count in
+  let region_len = Array.make nregions 0 in
+  let slot_first = Array.make n 0 and slot_nops = Array.make n 0 in
+  for sl = 0 to n - 1 do
+    (match node_ops.(sl) with
+    | [] | [ _ ] -> ()
+    | l ->
+      node_ops.(sl) <-
+        List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) l);
+    let i = region_of_slot.(sl) in
+    slot_first.(sl) <- region_len.(i);
+    slot_nops.(sl) <- List.length node_ops.(sl);
+    region_len.(i) <- region_len.(i) + slot_nops.(sl)
+  done;
+  let ops = Array.map (fun len -> Array.make len (fun _ _ -> ())) region_len in
+  let op_nodes = Array.map (fun len -> Array.make len 0) region_len in
+  let rec put ops j = function
+    | [] -> ()
+    | (_, op) :: rest ->
+      ops.(j) <- op;
+      put ops (j + 1) rest
   in
-  let region_sources =
-    Array.of_list
-      (List.map (fun rg -> Reach.union_reaching reach rg.rg_member_ids) regions)
+  for sl = 0 to n - 1 do
+    let i = region_of_slot.(sl) in
+    put ops.(i) slot_first.(sl) node_ops.(sl);
+    Array.fill op_nodes.(i) slot_first.(sl) slot_nops.(sl) slot_ids.(sl)
+  done;
+  (* ---- wake table ----
+     One pass over every node's reach set files the node under each source
+     reaching it, so the whole table costs O(sum of cone sizes). Slots are
+     topological positions, so a source's cone comes out in topological
+     order, and with each node's ops contiguous in its region, each
+     region's op list comes out in compiled order. Cone sizes come from
+     Reach, the one definition, and size the arrays exactly. *)
+  let wake_ids = Array.of_list (List.sort Int.compare (Reach.sources reach)) in
+  let cone_slots =
+    Array.map (fun id -> Array.make (Reach.cone_size reach id) 0) wake_ids
   in
+  let filled = Array.make (Array.length wake_ids) 0 in
+  let cur = ref 0 in
+  let file src =
+    let k = index_in wake_ids src in
+    cone_slots.(k).(filled.(k)) <- !cur;
+    filled.(k) <- filled.(k) + 1
+  in
+  for sl = 0 to n - 1 do
+    cur := sl;
+    Reach.set_iter file (Reach.reaching reach slot_ids.(sl))
+  done;
+  (* scratch per region, back to 0 / [||] between sources *)
+  let row_len = Array.make nregions 0 and rows = Array.make nregions [||] in
+  let wake_row k =
+    let slots = cone_slots.(k) in
+    let touched = ref [] in
+    for c = 0 to Array.length slots - 1 do
+      let sl = slots.(c) in
+      let i = region_of_slot.(sl) in
+      if row_len.(i) = 0 then touched := i :: !touched;
+      row_len.(i) <- row_len.(i) + slot_nops.(sl)
+    done;
+    let woken = Array.of_list (List.sort Int.compare !touched) in
+    let w_ops = Array.make (Array.length woken) [||] in
+    for j = 0 to Array.length woken - 1 do
+      let i = woken.(j) in
+      w_ops.(j) <- Array.make row_len.(i) 0;
+      rows.(i) <- w_ops.(j);
+      row_len.(i) <- 0
+    done;
+    for c = 0 to Array.length slots - 1 do
+      let sl = slots.(c) in
+      let i = region_of_slot.(sl) in
+      for j = slot_first.(sl) to slot_first.(sl) + slot_nops.(sl) - 1 do
+        rows.(i).(row_len.(i)) <- j;
+        row_len.(i) <- row_len.(i) + 1
+      done
+    done;
+    Array.iter
+      (fun i ->
+        row_len.(i) <- 0;
+        rows.(i) <- [||])
+      woken;
+    { w_cone = Reach.cone_size reach wake_ids.(k); w_regions = woken; w_ops }
+  in
+  let wake = Array.init (Array.length wake_ids) wake_row in
+  let region_sources = Array.make nregions Reach.set_empty in
+  Array.iteri
+    (fun k w ->
+      let src = wake_ids.(k) in
+      Array.iter
+        (fun i ->
+          region_sources.(i) <-
+            (if region_sources.(i) == Reach.set_empty then
+               Reach.reaching reach src (* the source's own {src} *)
+             else Reach.set_add src region_sources.(i)))
+        w.w_regions)
+    wake;
   (* ---- region dependency DAG ----
      Edges that order region execution within one event wave. Seam edges:
      an async/delay cut whose inner node and boundary node landed in
@@ -738,7 +856,6 @@ let plan : type r. r Signal.t -> plan =
      and groups — numbered by smallest member region, which keeps the
      numbering topological-friendly and deterministic — form the DAG the
      pool executes. *)
-  let nregions = !count in
   let edge_set = Hashtbl.create 16 in
   let raw_edges = ref [] in
   let add_edge a b =
@@ -751,20 +868,12 @@ let plan : type r. r Signal.t -> plan =
     (fun (inner, boundary) ->
       add_edge (Hashtbl.find region_of inner) (Hashtbl.find region_of boundary))
     (List.rev !cuts);
-  List.iter
-    (fun src ->
-      let woken = ref [] in
-      for i = nregions - 1 downto 0 do
-        if Reach.set_mem src region_sources.(i) then woken := i :: !woken
-      done;
-      let rec pairs = function
-        | a :: (b :: _ as rest) ->
-          add_edge a b;
-          pairs rest
-        | _ -> []
-      in
-      ignore (pairs !woken))
-    (Reach.sources reach);
+  Array.iter
+    (fun w ->
+      for k = 1 to Array.length w.w_regions - 1 do
+        add_edge w.w_regions.(k - 1) w.w_regions.(k)
+      done)
+    wake;
   let region_deps = List.rev !raw_edges in
   let succs = Array.make (max nregions 1) [] in
   List.iter (fun (a, b) -> succs.(a) <- b :: succs.(a)) region_deps;
@@ -835,20 +944,14 @@ let plan : type r. r Signal.t -> plan =
   Array.iteri
     (fun g preds -> group_preds.(g) <- List.rev preds)
     group_preds;
-  let name_of = Hashtbl.create 64 in
-  List.iter
-    (fun (Signal.Pack s) -> Hashtbl.replace name_of (Signal.id s) (Signal.name s))
-    order;
   let sources =
-    List.filter_map
-      (fun sid -> Option.map (fun nm -> (sid, nm)) (Hashtbl.find_opt name_of sid))
-      (Reach.sources reach)
+    List.map (fun sid -> (sid, slot_names.(slot sid))) (Reach.sources reach)
   in
   let state_init = Array.of_list (List.rev !state_inits) in
   let state_copy = Array.of_list (List.rev !state_copies) in
   let state_node = Array.of_list (List.rev !state_nodes) in
   {
-    p_regions = regions;
+    p_regions = Array.of_list regions;
     p_region_of = region_of;
     p_cuts = List.rev !cuts;
     p_reach = reach;
@@ -866,6 +969,9 @@ let plan : type r. r Signal.t -> plan =
     p_state_copy = state_copy;
     p_state_node = state_node;
     p_ops = ops;
+    p_op_nodes = op_nodes;
+    p_wake_ids = wake_ids;
+    p_wake = wake;
     p_region_sources = region_sources;
     p_region_deps = region_deps;
     p_group_of = group_of;
@@ -874,10 +980,13 @@ let plan : type r. r Signal.t -> plan =
     p_group_preds = group_preds;
     p_sources = sources;
     p_queue_slots = List.rev !queue_slots;
+    p_unguarded =
+      Array.make n { guard = (fun ~prev:_ ~reset:_ ~epoch:_ f -> f ()) };
     p_inputs = List.rev !inputs;
   }
 
-let regions pl = pl.p_regions
+let regions pl = Array.to_list pl.p_regions
+let region pl i = pl.p_regions.(i)
 let region_of pl id = Hashtbl.find_opt pl.p_region_of id
 let cuts pl = pl.p_cuts
 let reach pl = pl.p_reach
@@ -888,6 +997,7 @@ let sources pl = pl.p_sources
 let inputs pl = pl.p_inputs
 let slot_of pl id = Hashtbl.find_opt pl.p_slot_of id
 let queue_slots pl = pl.p_queue_slots
+let unguarded pl = pl.p_unguarded
 let region_sources pl i = pl.p_region_sources.(i)
 let slot_ids pl = pl.p_slot_ids
 let slot_names pl = pl.p_slot_names
@@ -904,6 +1014,13 @@ let group_of pl i = pl.p_group_of.(i)
 let group_regions pl g = pl.p_group_regions.(g)
 let group_deps pl = pl.p_group_deps
 let group_preds pl g = pl.p_group_preds.(g)
+let op_nodes pl i = pl.p_op_nodes.(i)
+
+let no_wake = { w_cone = 0; w_regions = [||]; w_ops = [||] }
+
+let wake pl source =
+  let k = index_in pl.p_wake_ids source in
+  if k < 0 then no_wake else Array.unsafe_get pl.p_wake k
 
 let pp_plan ppf pl =
   Format.fprintf ppf "@[<v>";
@@ -916,7 +1033,7 @@ let pp_plan ppf pl =
               (fun (Signal.Pack s) ->
                 Printf.sprintf "%d:%s" (Signal.id s) (Signal.name s))
               rg.rg_members)))
-    pl.p_regions;
+    (regions pl);
   List.iter
     (fun (inner, src) ->
       Format.fprintf ppf "cut %d -> %d (async boundary)@," inner src)
@@ -928,9 +1045,13 @@ let pp_plan ppf pl =
 
 (* Keyed on the root node id: graphs are immutable after construction and
    [Fuse.fuse_cached] returns a stable fused root, so the id identifies the
-   graph shape. Bounded crudely — a full reset at [max_cached_plans] — so
-   test suites churning through thousands of generated graphs cannot grow
-   the table (or pin their graphs against the GC) without bound.
+   graph shape. Bounded at [max_cached_plans], so test suites churning
+   through thousands of generated graphs cannot grow the table (or pin
+   their graphs against the GC) without bound — in two generations, so a
+   plan just resolved survives at least half the bound of further inserts
+   (a single table reset at the bound could evict it between two lookups
+   of one caller while other domains compile, handing that caller two
+   plans for one root).
 
    The table is shared by every domain (that sharing is the whole point of
    the plan/arena split), so lookups and inserts are serialised by
@@ -940,7 +1061,8 @@ let pp_plan ppf pl =
    lock; a race that builds the same plan twice is resolved by keeping the
    first inserted plan, so every caller agrees on one canonical plan per
    root and per-plan state (arenas, slot indices) stays interchangeable. *)
-let plan_cache : (int, plan) Hashtbl.t = Hashtbl.create 64
+let young : (int, plan) Hashtbl.t ref = ref (Hashtbl.create 64)
+let old : (int, plan) Hashtbl.t ref = ref (Hashtbl.create 64)
 let cache_lock = Mutex.create ()
 let cache_hits = ref 0
 let cache_misses = ref 0
@@ -958,7 +1080,7 @@ let plan_cache_stats () =
     {
       hits = !cache_hits;
       misses = !cache_misses;
-      entries = Hashtbl.length plan_cache;
+      entries = Hashtbl.length !young + Hashtbl.length !old;
     }
   in
   Mutex.unlock cache_lock;
@@ -966,7 +1088,8 @@ let plan_cache_stats () =
 
 let clear_plan_cache () =
   Mutex.lock cache_lock;
-  Hashtbl.reset plan_cache;
+  Hashtbl.reset !young;
+  Hashtbl.reset !old;
   Mutex.unlock cache_lock;
   (* The fusion memos must fall with the plans: [fuse_cached] keyed the
      cache on fused roots, and a memo that survives the reset keeps
@@ -976,10 +1099,31 @@ let clear_plan_cache () =
      two locks are never held together, so no ordering cycle. *)
   Fuse.clear_memos ()
 
+(* Both under [cache_lock]. *)
+let insert key pl =
+  if Hashtbl.length !young >= max_cached_plans / 2 then begin
+    let t = !old in
+    Hashtbl.reset t;
+    old := !young;
+    young := t
+  end;
+  Hashtbl.replace !young key pl
+
+let find key =
+  match Hashtbl.find_opt !young key with
+  | Some _ as hit -> hit
+  | None -> (
+    match Hashtbl.find_opt !old key with
+    | Some pl as hit ->
+      Hashtbl.remove !old key;
+      insert key pl;
+      hit
+    | None -> None)
+
 let plan_of root =
   let key = Signal.id root in
   Mutex.lock cache_lock;
-  match Hashtbl.find_opt plan_cache key with
+  match find key with
   | Some pl ->
     incr cache_hits;
     Mutex.unlock cache_lock;
@@ -990,12 +1134,10 @@ let plan_of root =
     let pl = plan root in
     Mutex.lock cache_lock;
     let pl =
-      match Hashtbl.find_opt plan_cache key with
+      match find key with
       | Some winner -> winner (* another domain built it first: keep theirs *)
       | None ->
-        if Hashtbl.length plan_cache >= max_cached_plans then
-          Hashtbl.reset plan_cache;
-        Hashtbl.replace plan_cache key pl;
+        insert key pl;
         pl
     in
     Mutex.unlock cache_lock;
@@ -1021,12 +1163,27 @@ let clone_arena pl ar =
           else pl.p_state_init.(i) ());
   }
 
-(* Runs all of one region's ops for one round, in compiled order. *)
+(* Runs one region's share of a round, in compiled order: every op under
+   flood, otherwise only the ops the wake table lists for the round's
+   source (none if the source does not wake the region). *)
 let run_region pl x region_index r =
   let ops = pl.p_ops.(region_index) in
-  for i = 0 to Array.length ops - 1 do
-    (Array.unsafe_get ops i) x r
-  done
+  if x.x_flood then
+    for i = 0 to Array.length ops - 1 do
+      (Array.unsafe_get ops i) x r
+    done
+  else begin
+    let w = wake pl r.source in
+    let regs = w.w_regions in
+    for k = 0 to Array.length regs - 1 do
+      if Array.unsafe_get regs k = region_index then begin
+        let idx = Array.unsafe_get w.w_ops k in
+        for j = 0 to Array.length idx - 1 do
+          (Array.unsafe_get ops (Array.unsafe_get idx j)) x r
+        done
+      end
+    done
+  end
 
 (* ------------------------------------------------------------------ *)
 (* DOT rendering with region clusters (felmc graph --compiled) *)
@@ -1062,7 +1219,7 @@ let to_dot ?(label = "signal graph (compiled regions)") root =
               shape)
         rg.rg_members;
       pr "  }\n")
-    pl.p_regions;
+    (regions pl);
   List.iter
     (fun (Signal.Pack s) ->
       if Signal.is_source s || Signal.deps s = [] then
@@ -1103,8 +1260,6 @@ type config = {
 type runtime_region = {
   rr_region : region;
   rr_wake : round Mailbox.t;
-  rr_sources : Reach.set;
-      (* sources reaching any member: the dispatcher's wake test *)
 }
 
 type 'a instance = {
@@ -1225,12 +1380,8 @@ let instantiate : type r. config -> r Signal.t -> r instance =
               loop ()
             in
             loop ());
-        {
-          rr_region = rg;
-          rr_wake = wake;
-          rr_sources = pl.p_region_sources.(rg.rg_index);
-        })
-      pl.p_regions
+        { rr_region = rg; rr_wake = wake })
+      (regions pl)
   in
   {
     i_plan = pl;

@@ -91,6 +91,10 @@ val clear_plan_cache : unit -> unit
     bit-identical — plans carry no instance state. *)
 
 val regions : plan -> region list
+
+val region : plan -> int -> region
+(** [region plan i] is the region of index [i]. *)
+
 val region_of : plan -> int -> int option
 val cuts : plan -> (int * int) list
 (** [(inner, async)] dependency edges cut at async/delay boundaries: they
@@ -119,7 +123,8 @@ val slot_of : plan -> int -> int option
 
 val region_sources : plan -> int -> Reach.set
 (** [region_sources plan i] is the set of sources reaching any member of
-    region [i] — the dispatcher's wake test for the region. *)
+    region [i]. A source is in it exactly when its {!wake} entry lists
+    region [i]; executors read the wake table instead. *)
 
 val slot_ids : plan -> int array
 (** Slot -> node id. The plan's own array — treat as read-only. *)
@@ -183,6 +188,32 @@ val group_deps : plan -> (int * int) list
 
 val group_preds : plan -> int -> int list
 (** Predecessor groups of a group under {!group_deps}. *)
+
+(** {1 The wake table} *)
+
+type wake = private {
+  w_cone : int;
+      (** Nodes in the source's cone: {!Reach.cone_size}, the figure the
+          elision accounting and [Trace.dispatch] use. *)
+  w_regions : int array;  (** Woken region indices, ascending. *)
+  w_ops : int array array;
+      (** Parallel to [w_regions]: indices into that region's op array of
+          the ops whose node is in the cone — each member op, any
+          async/delay tap attached to the node, and the root's display op —
+          in compiled order. *)
+}
+(** One runtime source's row of the wake table: the static clock of every
+    computation the source can tick. Built once per plan, in
+    O(sum of cone sizes), and shared by every instance of it. *)
+
+val wake : plan -> int -> wake
+(** [wake plan source] is the source's row; an id that is not a runtime
+    source of the plan gets the empty row (cone 0, no regions). O(log
+    sources), allocation-free. *)
+
+val op_nodes : plan -> int -> int array
+(** [op_nodes plan i] maps each op index of region [i] to the node id it
+    was compiled for. The plan's own array — treat as read-only. *)
 
 val pp_plan : Format.formatter -> plan -> unit
 (** One line per region ([region i (rep id name): members...]) followed by
@@ -259,16 +290,23 @@ type exec = {
     stepped synchronously. *)
 
 val run_region : plan -> exec -> int -> round -> unit
-(** [run_region plan x i r] runs all of region [i]'s ops for round [r], in
+(** [run_region plan x i r] runs region [i]'s share of round [r], in
     compiled (deterministic topological) order: read dependency slots,
     recompute if any is dirty this epoch, write own slot, account the
-    emission. *)
+    emission. Under [x_flood] every op runs; otherwise only the ops the
+    {!wake} entry of [r.source] lists for region [i] (none if the source
+    does not wake the region). *)
 
 val queue_slots : plan -> (int * int * bool) list
 (** Source nodes needing a pending-value queue: [(node id, slot, bounded)].
     Async/delay queues are unbounded ([bounded = false]): their tap runs on
     the instance's own step path, so blocking it on a full queue could
     deadlock the instance. *)
+
+val unguarded : plan -> guarded array
+(** Slot -> the [Propagate] supervisor, which applies the node's function
+    unguarded. Stateless, so every instance of the plan shares this one
+    array — treat as read-only. *)
 
 (** {1 Runtime instantiation (threads + mailboxes)} *)
 
@@ -300,9 +338,7 @@ type runtime_region = {
   rr_region : region;
   rr_wake : round Cml.Mailbox.t;
       (** The region's wakeup mailbox; the dispatcher sends one round per
-          event whose cone intersects the region. *)
-  rr_sources : Reach.set;
-      (** Sources reaching any member — the dispatcher's wake test. *)
+          event whose source's {!wake} entry lists the region. *)
 }
 
 type 'a instance = {

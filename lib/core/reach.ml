@@ -10,9 +10,11 @@
    source id), so the async node's reach set is just itself — exactly the
    Fig. 8(c) ordering boundary.
 
-   The dispatcher uses [cone] to notify only the nodes an event can affect;
-   everything outside the cone stays quiescent and its edges are
-   epoch-compressed (see Event.stamped and Runtime). *)
+   The pipelined dispatcher uses [cone] to notify only the nodes an event
+   can affect; everything outside the cone stays quiescent and its edges
+   are epoch-compressed (see Event.stamped and Runtime). The compiled
+   executors never query these sets per event: the plan folds them once
+   into its wake table (see Compile). *)
 
 module Int_set = Set.Make (Int)
 
@@ -22,12 +24,16 @@ type t = {
   order : Signal.packed list;  (* dependencies before dependents *)
   sets : (int, set) Hashtbl.t;  (* node id -> source ids reaching it *)
   srcs : int list;  (* runtime-source ids, topological order *)
+  cone_sizes : (int, int) Hashtbl.t;  (* source id -> nodes it reaches *)
   count : int;
 }
 
 let set_mem = Int_set.mem
 let set_cardinal = Int_set.cardinal
 let set_elements = Int_set.elements
+let set_iter = Int_set.iter
+let set_empty = Int_set.empty
+let set_add = Int_set.add
 
 (* A node the runtime registers with the dispatcher as a source: it answers
    events rather than edge messages. [Signal.is_source] covers
@@ -39,13 +45,18 @@ let runtime_source (Signal.Pack s) =
 let analyze root =
   let order = Signal.reachable root in
   let sets = Hashtbl.create 64 in
+  let cone_sizes = Hashtbl.create 16 in
   let srcs = ref [] in
+  let bump src =
+    Hashtbl.replace cone_sizes src (Hashtbl.find cone_sizes src + 1)
+  in
   List.iter
     (fun (Signal.Pack s as p) ->
       let id = Signal.id s in
       let set =
         if runtime_source p then begin
           srcs := id :: !srcs;
+          Hashtbl.replace cone_sizes id 0;
           Int_set.singleton id
         end
         else
@@ -56,9 +67,11 @@ let analyze root =
               | None -> acc)
             Int_set.empty (Signal.deps s)
       in
-      Hashtbl.replace sets id set)
+      Hashtbl.replace sets id set;
+      (* sources come first in topological order: every member is known *)
+      Int_set.iter bump set)
     order;
-  { order; sets; srcs = List.rev !srcs; count = List.length order }
+  { order; sets; srcs = List.rev !srcs; cone_sizes; count = List.length order }
 
 let node_count t = t.count
 
@@ -73,19 +86,13 @@ let reaching t id =
 
 let affects t ~source ~node = set_mem source (reaching t node)
 
-let union_reaching t ids =
-  List.fold_left (fun acc id -> Int_set.union acc (reaching t id)) Int_set.empty ids
-
 let cone t source =
   List.filter
     (fun (Signal.Pack s) -> set_mem source (reaching t (Signal.id s)))
     t.order
 
 let cone_size t source =
-  List.fold_left
-    (fun n (Signal.Pack s) ->
-      if set_mem source (reaching t (Signal.id s)) then n + 1 else n)
-    0 t.order
+  Option.value ~default:0 (Hashtbl.find_opt t.cone_sizes source)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -19,7 +19,8 @@ type set
 
 val analyze : 'a Signal.t -> t
 (** Analyze the graph rooted at the given signal. Pure; runs in
-    O(nodes * sources) time at build time. *)
+    O(nodes * sources) time at build time, and counts every source's cone
+    size in the same pass. *)
 
 val node_count : t -> int
 (** Total nodes in the graph (= messages per event under flood dispatch). *)
@@ -37,20 +38,22 @@ val reaching : t -> int -> set
 
 val affects : t -> source:int -> node:int -> bool
 
-val union_reaching : t -> int list -> set
-(** Union of the reaching sets of the given nodes. This is a compiled
-    region's wake test (see {!Compile}): the sources whose events can
-    affect {e any} member of the region. *)
-
 val cone : t -> int -> Signal.packed list
 (** [cone t source] is the affected cone of an event fired by [source]:
     every node it can reach, in topological order. *)
 
 val cone_size : t -> int -> int
+(** [cone_size t source] is the number of nodes in the source's cone
+    ([0] for an id that is not a runtime source). O(1): counted once by
+    {!analyze}. This is the one definition of a cone's size; the compiled
+    plan's wake table takes its sizes from here. *)
 
 val set_mem : int -> set -> bool
 val set_cardinal : set -> int
 val set_elements : set -> int list
+val set_iter : (int -> unit) -> set -> unit
+val set_empty : set
+val set_add : int -> set -> set
 
 val pp : Format.formatter -> t -> unit
 (** One line per node: [id name <- {reaching source ids}]. *)

@@ -787,7 +787,7 @@ type weffect =
 
 type wgroup = {
   wg_index : int;  (* group index in the plan *)
-  wg_regions : (int * Compile.region) array;  (* member regions, ascending *)
+  wg_regions : int array;  (* member region indices, ascending *)
   wg_exec : Compile.exec;
   wg_stats : Stats.t;  (* scratch, owned by the task running the group *)
   mutable wg_snap : Stats.t;  (* last state merged into the main stats *)
@@ -923,9 +923,7 @@ let start_wave : type r.
         in
         {
           wg_index = g;
-          wg_regions =
-            Array.of_list
-              (List.map (fun i -> (i, regions.(i))) (Compile.group_regions pl g));
+          wg_regions = Array.of_list (Compile.group_regions pl g);
           wg_exec = x;
           wg_stats;
           wg_snap = Stats.copy wg_stats;
@@ -979,18 +977,7 @@ let start_wave : type r.
       quiesce = Queue.create ();
     }
   in
-  let nregions = Array.length regions in
-  let all_region_idxs = Array.init nregions Fun.id in
-  let cones = Hashtbl.create 16 in
-  List.iter
-    (fun src ->
-      let idxs = ref [] in
-      for i = nregions - 1 downto 0 do
-        if Reach.set_mem src (Compile.region_sources pl i) then
-          idxs := i :: !idxs
-      done;
-      Hashtbl.replace cones src (Array.of_list !idxs, Reach.cone_size reach src))
-    (Reach.sources reach);
+  let all_region_idxs = Array.init (Array.length regions) Fun.id in
   (* Admit one event: assign the next epoch, bill the dispatch counters
      exactly as the threaded dispatcher does, and append the round to each
      active group's work queue. *)
@@ -1000,8 +987,9 @@ let start_wave : type r.
     let region_idxs, cone_sz =
       match dispatch with
       | Flood -> (all_region_idxs, node_count)
-      | Cone -> (
-        match Hashtbl.find_opt cones eid with Some c -> c | None -> ([||], 0))
+      | Cone ->
+        let w = Compile.wake pl eid in
+        (w.Compile.w_regions, w.Compile.w_cone)
     in
     stats.notified_nodes <- stats.notified_nodes + Array.length region_idxs;
     stats.elided_messages <- stats.elided_messages + (node_count - cone_sz);
@@ -1027,39 +1015,33 @@ let start_wave : type r.
         region_idxs
   in
   (* Run one group's share of the wave (worker [w]): its queued rounds in
-     epoch order, each sweeping the group's member regions in index order.
+     epoch order, each sweeping the group's woken regions in index order.
      Per-domain attribution mirrors the serve layer: snapshot the scratch
      before, bill the delta after. *)
   let run_group wg w =
     let before = Stats.copy wg.wg_stats in
+    let run_one r i =
+      let rep = regions.(i).Compile.rg_rep in
+      (match tracer with
+      | None -> ()
+      | Some tr -> Trace.node_start tr ~node:rep ~epoch:r.Compile.epoch);
+      wg.wg_stats.Stats.region_steps <- wg.wg_stats.Stats.region_steps + 1;
+      Compile.run_region pl wg.wg_exec i r;
+      match tracer with
+      | None -> ()
+      | Some tr -> Trace.node_end tr ~node:rep ~epoch:r.Compile.epoch
+    in
     let rec go () =
       match Queue.take_opt wg.wg_rounds with
       | None -> ()
       | Some r ->
         wg.wg_epoch := r.Compile.epoch;
-        Array.iter
-          (fun (i, rg) ->
-            let woken =
-              match dispatch with
-              | Flood -> true
-              | Cone ->
-                Reach.set_mem r.Compile.source (Compile.region_sources pl i)
-            in
-            if woken then begin
-              (match tracer with
-              | None -> ()
-              | Some tr ->
-                Trace.node_start tr ~node:rg.Compile.rg_rep
-                  ~epoch:r.Compile.epoch);
-              wg.wg_stats.Stats.region_steps <-
-                wg.wg_stats.Stats.region_steps + 1;
-              Compile.run_region pl wg.wg_exec i r;
-              match tracer with
-              | None -> ()
-              | Some tr ->
-                Trace.node_end tr ~node:rg.Compile.rg_rep ~epoch:r.Compile.epoch
-            end)
-          wg.wg_regions;
+        (match dispatch with
+        | Flood -> Array.iter (fun i -> run_one r i) wg.wg_regions
+        | Cone ->
+          Array.iter
+            (fun i -> if Compile.group_of pl i = wg.wg_index then run_one r i)
+            (Compile.wake pl r.Compile.source).Compile.w_regions);
         go ()
     in
     go ();
@@ -1338,10 +1320,12 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   let node_count = Reach.node_count reach in
   stats.Stats.fused_nodes <- (if fuse then original_nodes - node_count else 0);
   (* Per-backend instantiation. Both produce the same dispatcher inputs: a
-     display channel, a flood target array, a per-source cone target lookup,
-     and the per-event elided balance the dispatcher still owes on top of
-     what the woken threads account themselves. *)
-  let display_channel, all_targets, cone_targets, extra_elided, rt_sources =
+     display channel, the number of wakeup targets of an event, a sender
+     waking them with a round, and the per-event elided balance the
+     dispatcher still owes on top of what the woken threads account
+     themselves. The senders are plain index loops: an [Array.iter] would
+     allocate a fresh closure over the round per event. *)
+  let display_channel, count_targets, wake_targets, extra_elided, rt_sources =
     match backend with
     | Pipelined ->
       (* One thread per node, one channel per edge (Fig. 10). Wakeup
@@ -1363,13 +1347,22 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
         (fun src ->
           Hashtbl.replace cones src (mailboxes_of (Reach.cone reach src)))
         (Reach.sources reach);
-      let cone_targets eid =
-        match Hashtbl.find_opt cones eid with Some c -> c | None -> [||]
+      let targets eid =
+        match dispatch with
+        | Flood -> all_nodes
+        | Cone -> (
+          match Hashtbl.find_opt cones eid with Some c -> c | None -> [||])
+      in
+      let wake eid r =
+        let t = targets eid in
+        for i = 0 to Array.length t - 1 do
+          send_round ctx (Array.unsafe_get t i) r
+        done
       in
       let extra_elided _eid n_targets = node_count - n_targets in
       ( root_inst.Signal.out,
-        all_nodes,
-        cone_targets,
+        (fun eid -> Array.length (targets eid)),
+        wake,
         extra_elided,
         List.rev ctx.c_sources )
     | Compiled ->
@@ -1398,37 +1391,35 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
       in
       let inst = Compile.instantiate cfg root in
       stats.Stats.compiled_regions <- List.length inst.Compile.i_regions;
+      let pl = inst.Compile.i_plan in
       let all_regions =
         Array.of_list
           (List.map (fun rr -> rr.Compile.rr_wake) inst.Compile.i_regions)
       in
-      let cones = Hashtbl.create 16 in
-      let cone_nodes = Hashtbl.create 16 in
-      List.iter
-        (fun src ->
-          Hashtbl.replace cones src
-            (Array.of_list
-               (List.filter_map
-                  (fun rr ->
-                    if Reach.set_mem src rr.Compile.rr_sources then
-                      Some rr.Compile.rr_wake
-                    else None)
-                  inst.Compile.i_regions));
-          Hashtbl.replace cone_nodes src (Reach.cone_size reach src))
-        (Reach.sources reach);
-      let cone_targets eid =
-        match Hashtbl.find_opt cones eid with Some c -> c | None -> [||]
+      let all_idxs = Array.init (Array.length all_regions) Fun.id in
+      (* Region mailboxes are in region index order, so the plan's wake
+         table names the targets directly. *)
+      let targets eid =
+        match dispatch with
+        | Flood -> all_idxs
+        | Cone -> (Compile.wake pl eid).Compile.w_regions
+      in
+      let wake eid r =
+        let t = targets eid in
+        for i = 0 to Array.length t - 1 do
+          send_round ctx
+            (Array.unsafe_get all_regions (Array.unsafe_get t i))
+            r
+        done
       in
       let extra_elided eid _n_targets =
         match dispatch with
         | Flood -> 0
-        | Cone ->
-          node_count
-          - (match Hashtbl.find_opt cone_nodes eid with Some n -> n | None -> 0)
+        | Cone -> node_count - (Compile.wake pl eid).Compile.w_cone
       in
       ( inst.Compile.i_out,
-        all_regions,
-        cone_targets,
+        (fun eid -> Array.length (targets eid)),
+        wake,
         extra_elided,
         inst.Compile.i_sources )
   in
@@ -1507,27 +1498,18 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
         in
         stats.events <- stats.events + 1;
         let r = { epoch = stats.events; source = eid } in
-        let targets =
-          match dispatch with
-          | Flood -> all_targets
-          | Cone -> cone_targets eid
-        in
-        stats.notified_nodes <- stats.notified_nodes + Array.length targets;
+        let n_targets = count_targets eid in
+        stats.notified_nodes <- stats.notified_nodes + n_targets;
         stats.elided_messages <-
-          stats.elided_messages + extra_elided eid (Array.length targets);
+          stats.elided_messages + extra_elided eid n_targets;
         (* Record before the wakeups go out so the dispatch timestamp lower-
            bounds every node-start and display timestamp of this epoch. *)
         (match tracer with
         | None -> ()
         | Some tr ->
           Trace.dispatch tr ~source:eid ~epoch:r.epoch
-            ~targets:(Array.length targets));
-        (* Plain index loop: an [Array.iter] here would allocate a fresh
-           closure over [r] per event, the one allocation left on the
-           per-event dispatch path. *)
-        for i = 0 to Array.length targets - 1 do
-          send_round ctx (Array.unsafe_get targets i) r
-        done;
+            ~targets:n_targets);
+        wake_targets eid r;
         stats.switches <- Cml.Scheduler.switch_count ();
         (match mode with
         | Sequential when reaches_root eid -> Mailbox.recv ack

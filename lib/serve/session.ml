@@ -10,17 +10,17 @@
 
    Sessions are fully synchronous: no threads, no mailboxes, no Cml
    scheduler. External events queue up (Dispatcher routes them); [step]
-   runs one event to completion by sweeping the plan's regions in index
-   order — which is topological order, so one sweep is exactly one settled
-   round of the compiled runtime. Async taps re-enter through the
-   dispatcher's ready queue ([env_fire]) and delay taps through its virtual
-   delay heap ([env_delay]), preserving the paper's boundary semantics:
-   order is maintained within the synchronous part and within each async
-   subgraph, but not between them. *)
+   runs one event to completion by sweeping the regions the plan's wake
+   table lists for its source, in index order — which is topological
+   order, so one sweep is exactly one settled round of the compiled
+   runtime, and it touches only the source's cone. Async taps re-enter
+   through the dispatcher's ready queue ([env_fire]) and delay taps
+   through its virtual delay heap ([env_delay]), preserving the paper's
+   boundary semantics: order is maintained within the synchronous part
+   and within each async subgraph, but not between them. *)
 
 module Signal = Elm_core.Signal
 module Event = Elm_core.Event
-module Reach = Elm_core.Reach
 module Stats = Elm_core.Stats
 module Trace = Elm_core.Trace
 module Compile = Elm_core.Compile
@@ -59,7 +59,6 @@ type geffect =
    buffer, so two groups of one session can run on different domains with
    no shared mutable word. *)
 type gexec = {
-  g_regions : (int * Compile.region) array;  (* member regions, ascending *)
   g_exec : Compile.exec;
   g_stats : Stats.t;  (* scratch, owned by the running task *)
   mutable g_snap : Stats.t;  (* last state merged into the session stats *)
@@ -81,7 +80,6 @@ type 'a t = {
   mutable s_exec : Compile.exec;
   mutable s_queues : Obj.t Queue.t option array;
       (* per slot; [Some] on sources *)
-  mutable s_bounded : bool array;  (* per slot; false on async/delay queues *)
   s_capacity : int option;
   s_stats : Stats.t;
   s_tracer : Trace.t option;
@@ -123,14 +121,13 @@ let record_change k epoch v =
     end
 
 (* Per-slot supervisors, mirroring the runtime's [make_guard]. [Propagate]
-   needs no per-node state, so every slot shares one record and opening a
-   session allocates nothing here (the default serving configuration);
-   [Isolate]/[Restart] carry per-node failure attribution and budgets. *)
+   needs no per-node state, so every session of a plan shares the plan's
+   one array (the default serving configuration: opening a session
+   allocates nothing here); [Isolate]/[Restart] carry per-node failure
+   attribution and budgets. *)
 let make_guards ~policy ~stats ~tracer ~offset pl =
-  let n = Compile.node_count pl in
   match (policy : Runtime.error_policy) with
-  | Runtime.Propagate ->
-    Array.make n { Compile.guard = (fun ~prev:_ ~reset:_ ~epoch:_ f -> f ()) }
+  | Runtime.Propagate -> Compile.unguarded pl
   | Runtime.Isolate | Runtime.Restart _ ->
     let note id epoch =
       stats.Stats.node_failures <- stats.Stats.node_failures + 1;
@@ -159,15 +156,11 @@ let make_guards ~policy ~stats ~tracer ~offset pl =
       (Compile.slot_ids pl)
 
 let fresh_queues pl =
-  let n = Compile.node_count pl in
-  let queues = Array.make n None in
-  let bounded = Array.make n false in
+  let queues = Array.make (Compile.node_count pl) None in
   List.iter
-    (fun (_id, sl, b) ->
-      queues.(sl) <- Some (Queue.create ());
-      bounded.(sl) <- b)
+    (fun (_id, sl, _) -> queues.(sl) <- Some (Queue.create ()))
     (Compile.queue_slots pl);
-  (queues, bounded)
+  queues
 
 let queue_exn queues sl =
   match queues.(sl) with
@@ -247,7 +240,7 @@ let build : type r.
     plan:Compile.plan ->
     r t =
  fun ~sid ~env ~policy ~capacity ~tracer ~stats ~sink ~arena ~epoch ~plan:pl ->
-  let queues, bounded = fresh_queues pl in
+  let queues = fresh_queues pl in
   let offset = sid * Compile.id_stride pl in
   register_regions ~tracer ~sid ~offset pl;
   let x =
@@ -260,7 +253,6 @@ let build : type r.
     s_policy = policy;
     s_exec = x;
     s_queues = queues;
-    s_bounded = bounded;
     s_capacity = capacity;
     s_stats = stats;
     s_tracer = tracer;
@@ -331,8 +323,9 @@ let close s =
 (* Deliver an external value for [input]. The caller (Dispatcher.inject)
    routes the matching ready-queue entry; value first, routing second, so
    the step finds the value waiting — the same protocol as the runtime's
-   input push. Returns [false] (and counts a drop) when the input's bounded
-   queue is full. *)
+   input push. Returns [false] (and counts a drop) when the input's queue
+   is full: input queues are always the bounded kind (only async/delay
+   queues are unbounded, and those are never offered to). *)
 let offer : type i. 'a t -> i Signal.t -> i -> bool =
  fun s input v ->
   if s.s_closed then invalid_arg "Serve.Session: session is closed";
@@ -350,53 +343,55 @@ let offer : type i. 'a t -> i Signal.t -> i -> bool =
   | Some sl -> (
     let q = queue_exn s.s_queues sl in
     match s.s_capacity with
-    | Some cap when s.s_bounded.(sl) && Queue.length q >= cap ->
+    | Some cap when Queue.length q >= cap ->
       s.s_dropped <- s.s_dropped + 1;
       false
     | _ ->
       Queue.push (Obj.repr v) q;
       true)
 
-(* Run one routed event to completion: bump the session-local epoch, sweep
-   the regions whose wake test passes in index (= topological) order. The
-   dispatcher's bookkeeping (cone size vs node count) settles the elision
+(* The per-event bookkeeping [step] and [admit] share: bump the
+   session-local epoch and settle every counter the plan's wake table
+   determines. The cone size against the node count settles the elision
    invariant exactly as the runtime's dispatcher does, so
-   [messages + elided = nodes * events] holds per session. *)
+   [messages + elided = nodes * events] holds per session. Returns the
+   round and the woken region indices, ascending. *)
+let begin_round s ~source =
+  s.s_epoch <- s.s_epoch + 1;
+  let st = s.s_stats in
+  let w = Compile.wake s.s_plan source in
+  let woken = Array.length w.Compile.w_regions in
+  st.Stats.events <- st.Stats.events + 1;
+  st.Stats.notified_nodes <- st.Stats.notified_nodes + woken;
+  st.Stats.region_steps <- st.Stats.region_steps + woken;
+  st.Stats.elided_messages <-
+    st.Stats.elided_messages + (Compile.node_count s.s_plan - w.Compile.w_cone);
+  (match s.s_tracer with
+  | None -> ()
+  | Some tr ->
+    Trace.dispatch tr ~source:(s.s_offset + source) ~epoch:s.s_epoch
+      ~targets:w.Compile.w_cone);
+  ({ Compile.epoch = s.s_epoch; source }, w.Compile.w_regions)
+
+(* One region of a round, between its tracer spans. *)
+let run_traced s x i r =
+  match s.s_tracer with
+  | None -> Compile.run_region s.s_plan x i r
+  | Some tr ->
+    let node = s.s_offset + (Compile.region s.s_plan i).Compile.rg_rep in
+    Trace.node_start tr ~node ~epoch:r.Compile.epoch;
+    Compile.run_region s.s_plan x i r;
+    Trace.node_end tr ~node ~epoch:r.Compile.epoch
+
+(* Run one routed event to completion: sweep the woken regions in index
+   (= topological) order. *)
 let step s ~source =
   s.s_pending <- s.s_pending - 1;
   if not s.s_closed then begin
-    s.s_epoch <- s.s_epoch + 1;
-    let st = s.s_stats in
-    st.Stats.events <- st.Stats.events + 1;
-    let r = { Compile.epoch = s.s_epoch; source } in
-    let reach = Compile.reach s.s_plan in
-    (match s.s_tracer with
-    | None -> ()
-    | Some tr ->
-      Trace.dispatch tr ~source:(s.s_offset + source) ~epoch:s.s_epoch
-        ~targets:(Reach.cone_size reach source));
-    List.iter
-      (fun rg ->
-        let i = rg.Compile.rg_index in
-        if Reach.set_mem source (Compile.region_sources s.s_plan i) then begin
-          st.Stats.notified_nodes <- st.Stats.notified_nodes + 1;
-          st.Stats.region_steps <- st.Stats.region_steps + 1;
-          (match s.s_tracer with
-          | None -> ()
-          | Some tr ->
-            Trace.node_start tr ~node:(s.s_offset + rg.Compile.rg_rep)
-              ~epoch:s.s_epoch);
-          Compile.run_region s.s_plan s.s_exec i r;
-          match s.s_tracer with
-          | None -> ()
-          | Some tr ->
-            Trace.node_end tr ~node:(s.s_offset + rg.Compile.rg_rep)
-              ~epoch:s.s_epoch
-        end)
-      (Compile.regions s.s_plan);
-    st.Stats.elided_messages <-
-      st.Stats.elided_messages
-      + (Compile.node_count s.s_plan - Reach.cone_size reach source)
+    let r, woken = begin_round s ~source in
+    for k = 0 to Array.length woken - 1 do
+      run_traced s s.s_exec (Array.unsafe_get woken k) r
+    done
   end
 
 (* A delayed value coming back from the dispatcher's heap: park it in the
@@ -437,7 +432,7 @@ let upgrade : type r.
     let arena =
       Upgrade.remap ~stale_map ~skip_migration patch s.s_exec.Compile.x_arena
     in
-    let queues, bounded = fresh_queues np in
+    let queues = fresh_queues np in
     (* [leak_mailbox] is the planted Leak_seam_mailbox bug: the old seam
        mailboxes (pending-value queues) are forgotten instead of
        transferred, so the ready-queue entries the dispatcher remaps
@@ -460,7 +455,6 @@ let upgrade : type r.
     register_regions ~tracer:s.s_tracer ~sid:s.s_id ~offset np;
     s.s_plan <- np;
     s.s_queues <- queues;
-    s.s_bounded <- bounded;
     s.s_offset <- offset;
     s.s_gexecs <- [||];  (* rebuilt lazily against the new plan's groups *)
     s.s_exec <-
@@ -497,9 +491,8 @@ let ensure_gexecs : type r. r t -> unit =
  fun s ->
   if Array.length s.s_gexecs = 0 then begin
     let pl = s.s_plan in
-    let regions = Array.of_list (Compile.regions pl) in
     s.s_gexecs <-
-      Array.init (Compile.group_count pl) (fun g ->
+      Array.init (Compile.group_count pl) (fun _ ->
           let g_stats = Stats.create () in
           let epoch_ref = ref 0 in
           let effects = Queue.create () in
@@ -537,9 +530,6 @@ let ensure_gexecs : type r. r t -> unit =
             }
           in
           {
-            g_regions =
-              Array.of_list
-                (List.map (fun i -> (i, regions.(i))) (Compile.group_regions pl g));
             g_exec = x;
             g_stats;
             g_snap = Stats.copy g_stats;
@@ -553,33 +543,16 @@ let admit s ~source =
   s.s_pending <- s.s_pending - 1;
   if not s.s_closed then begin
     ensure_gexecs s;
-    s.s_epoch <- s.s_epoch + 1;
-    let st = s.s_stats in
-    st.Stats.events <- st.Stats.events + 1;
-    let r = { Compile.epoch = s.s_epoch; source } in
-    let reach = Compile.reach s.s_plan in
-    (match s.s_tracer with
-    | None -> ()
-    | Some tr ->
-      Trace.dispatch tr ~source:(s.s_offset + source) ~epoch:s.s_epoch
-        ~targets:(Reach.cone_size reach source));
+    let r, woken = begin_round s ~source in
     let pushed = ref [] in
-    List.iter
-      (fun rg ->
-        let i = rg.Compile.rg_index in
-        if Reach.set_mem source (Compile.region_sources s.s_plan i) then begin
-          st.Stats.notified_nodes <- st.Stats.notified_nodes + 1;
-          st.Stats.region_steps <- st.Stats.region_steps + 1;
-          let g = Compile.group_of s.s_plan i in
-          if not (List.mem g !pushed) then begin
-            pushed := g :: !pushed;
-            Queue.push r s.s_gexecs.(g).g_rounds
-          end
+    Array.iter
+      (fun i ->
+        let g = Compile.group_of s.s_plan i in
+        if not (List.mem g !pushed) then begin
+          pushed := g :: !pushed;
+          Queue.push r s.s_gexecs.(g).g_rounds
         end)
-      (Compile.regions s.s_plan);
-    st.Stats.elided_messages <-
-      st.Stats.elided_messages
-      + (Compile.node_count s.s_plan - Reach.cone_size reach source)
+      woken
   end
 
 let active_groups s =
@@ -598,22 +571,9 @@ let run_group s g ~dstats =
     | Some r ->
       gx.g_epoch := r.Compile.epoch;
       Array.iter
-        (fun (i, rg) ->
-          if Reach.set_mem r.Compile.source (Compile.region_sources s.s_plan i)
-          then begin
-            (match s.s_tracer with
-            | None -> ()
-            | Some tr ->
-              Trace.node_start tr ~node:(s.s_offset + rg.Compile.rg_rep)
-                ~epoch:r.Compile.epoch);
-            Compile.run_region s.s_plan gx.g_exec i r;
-            match s.s_tracer with
-            | None -> ()
-            | Some tr ->
-              Trace.node_end tr ~node:(s.s_offset + rg.Compile.rg_rep)
-                ~epoch:r.Compile.epoch
-          end)
-        gx.g_regions;
+        (fun i ->
+          if Compile.group_of s.s_plan i = g then run_traced s gx.g_exec i r)
+        (Compile.wake s.s_plan r.Compile.source).Compile.w_regions;
       go ()
   in
   go ();

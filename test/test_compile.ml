@@ -14,6 +14,10 @@ module Stats = Elm_core.Stats
 module Compile = Elm_core.Compile
 module Fuse = Elm_core.Fuse
 module Trace = Elm_core.Trace
+module Reach = Elm_core.Reach
+module Pool = Elm_core.Pool
+module Dispatcher = Elm_serve.Dispatcher
+module Session = Elm_serve.Session
 module Explore = Elm_check.Explore
 module Mutate = Elm_check.Mutate
 
@@ -154,6 +158,130 @@ let test_compiled_dot_shows_regions () =
   check_bool "clusters are dashed" true (contains dot "style=dashed";);
   check_bool "dispatcher re-entry edge drawn" true
     (contains dot "new event")
+
+(* ------------------------------------------------------------------ *)
+(* The wake table against its definition: for every source of every
+   catalogue shape, fused and unfused, the plan's row must be exactly what
+   the build-time Reach sets say — the cone size, the regions holding a
+   node of the cone, and per region the ops whose node is in the cone, in
+   compiled order. [Compile.region_sources] must agree too. *)
+
+let test_wake_table_matches_reach () =
+  for shape = 0 to Gen_graph.shape_count - 1 do
+    List.iter
+      (fun fused ->
+        let _, _, s = Gen_graph.build_shape shape in
+        let root = if fused then Fuse.fuse s else s in
+        let plan = Compile.plan root in
+        let reach = Compile.reach plan in
+        let nodes = Signal.reachable root in
+        let where =
+          Printf.sprintf "shape %d%s" shape (if fused then " fused" else "")
+        in
+        let indices n = List.init n Fun.id in
+        let check_row src =
+          let w = Compile.wake plan src in
+          let in_cone id = Reach.affects reach ~source:src ~node:id in
+          check_int (where ^ ": cone size")
+            (List.length
+               (List.filter
+                  (fun (Signal.Pack n) -> in_cone (Signal.id n))
+                  nodes))
+            w.Compile.w_cone;
+          let regions = indices (List.length (Compile.regions plan)) in
+          check_ints (where ^ ": woken regions")
+            (List.filter
+               (fun i ->
+                 List.exists in_cone
+                   (Compile.region plan i).Compile.rg_member_ids)
+               regions)
+            (Array.to_list w.Compile.w_regions);
+          List.iter
+            (fun i ->
+              check_bool (where ^ ": region_sources agrees")
+                (Array.mem i w.Compile.w_regions)
+                (Reach.set_mem src (Compile.region_sources plan i));
+              let op_nodes = Compile.op_nodes plan i in
+              let expected =
+                List.filter
+                  (fun j -> in_cone op_nodes.(j))
+                  (indices (Array.length op_nodes))
+              in
+              let got =
+                let row = ref [] in
+                Array.iteri
+                  (fun k i' ->
+                    if i' = i then row := Array.to_list w.Compile.w_ops.(k))
+                  w.Compile.w_regions;
+                !row
+              in
+              check_ints
+                (Printf.sprintf "%s: region %d ops" where i)
+                expected got)
+            regions
+        in
+        List.iter check_row (Reach.sources reach);
+        (* an id that is no source of the plan wakes nothing *)
+        let w = Compile.wake plan (-1) in
+        check_int (where ^ ": unknown source cone") 0 w.Compile.w_cone;
+        check_int (where ^ ": unknown source regions") 0
+          (Array.length w.Compile.w_regions))
+      [ false; true ]
+  done
+
+(* A traced session bills each dispatch at its source's cone size from the
+   wake table, and tracing changes none of the counters — through both the
+   sequential step path and the intra-session admit path, on the async and
+   delay shapes (so re-entries are dispatched too). *)
+let test_traced_session_counters () =
+  let events = [ (true, 1); (false, 2); (true, 3); (false, 4); (false, 5) ] in
+  let pool = Pool.create ~domains:2 () in
+  let run shape ~intra tracer =
+    let a, b, root = Gen_graph.build_shape shape in
+    let d =
+      Dispatcher.create ?tracer ~fuse:false
+        ?pool:(if intra then Some pool else None)
+        ~intra root
+    in
+    let s = Dispatcher.open_session d in
+    List.iter
+      (fun (left, v) -> Dispatcher.inject d s (if left then a else b) v)
+      events;
+    ignore (Dispatcher.drain d);
+    (Dispatcher.plan d, Session.stats s)
+  in
+  List.iter
+    (fun (shape, intra) ->
+      let where = Printf.sprintf "shape %d intra=%b" shape intra in
+      let tracer = Trace.create () in
+      let plan, traced = run shape ~intra (Some tracer) in
+      let _, untraced = run shape ~intra None in
+      let dispatches =
+        List.filter
+          (fun r -> r.Trace.kind = Trace.Dispatch)
+          (Trace.records tracer)
+      in
+      check_int (where ^ ": one dispatch per event") traced.Stats.events
+        (List.length dispatches);
+      (* session 0: trace ids carry no offset *)
+      List.iter
+        (fun r ->
+          check_int (where ^ ": dispatch targets = wake cone")
+            (Compile.wake plan r.Trace.node).Compile.w_cone r.Trace.value)
+        dispatches;
+      List.iter
+        (fun (name, f) ->
+          check_int (where ^ ": " ^ name ^ " traced = untraced") (f untraced)
+            (f traced))
+        [
+          ("events", fun st -> st.Stats.events);
+          ("messages", fun st -> st.Stats.messages);
+          ("elided", fun st -> st.Stats.elided_messages);
+          ("notified", fun st -> st.Stats.notified_nodes);
+          ("region_steps", fun st -> st.Stats.region_steps);
+        ])
+    [ (10, false); (11, false); (10, true); (11, true) ];
+  Pool.close pool
 
 (* ------------------------------------------------------------------ *)
 (* Arena state: foldp accumulators live in generation-stamped cells, so a
@@ -446,6 +574,13 @@ let () =
             test_partition_covers_every_shape;
           tc "dot renders region clusters" `Quick
             test_compiled_dot_shows_regions;
+        ] );
+      ( "wake-table",
+        [
+          tc "every row matches the Reach reference" `Quick
+            test_wake_table_matches_reach;
+          tc "traced session: dispatch = cone, counters unchanged" `Quick
+            test_traced_session_counters;
         ] );
       ( "arena",
         [
