@@ -181,7 +181,6 @@ type plan = {
          upgrades remap state through the owner's structural key *)
   p_ops : (exec -> round -> unit) array array;
       (* region index -> op templates in execution order *)
-  p_op_nodes : int array array;  (* region index -> op index -> node id *)
   p_wake_ids : int array;  (* runtime source ids, ascending *)
   p_wake : wake array;  (* parallel to [p_wake_ids]: the wake table *)
   p_region_sources : Reach.set array;
@@ -760,7 +759,6 @@ let plan : type r. r Signal.t -> plan =
     region_len.(i) <- region_len.(i) + slot_nops.(sl)
   done;
   let ops = Array.map (fun len -> Array.make len (fun _ _ -> ())) region_len in
-  let op_nodes = Array.map (fun len -> Array.make len 0) region_len in
   let rec put ops j = function
     | [] -> ()
     | (_, op) :: rest ->
@@ -769,8 +767,7 @@ let plan : type r. r Signal.t -> plan =
   in
   for sl = 0 to n - 1 do
     let i = region_of_slot.(sl) in
-    put ops.(i) slot_first.(sl) node_ops.(sl);
-    Array.fill op_nodes.(i) slot_first.(sl) slot_nops.(sl) slot_ids.(sl)
+    put ops.(i) slot_first.(sl) node_ops.(sl)
   done;
   (* ---- wake table ----
      One pass over every node's reach set files the node under each source
@@ -794,39 +791,30 @@ let plan : type r. r Signal.t -> plan =
     cur := sl;
     Reach.set_iter file (Reach.reaching reach slot_ids.(sl))
   done;
-  (* scratch per region, back to 0 / [||] between sources *)
-  let row_len = Array.make nregions 0 and rows = Array.make nregions [||] in
+  (* scratch: per region, the current row's op indices, reversed; back to
+     [] between sources *)
+  let rows = Array.make nregions [] in
   let wake_row k =
-    let slots = cone_slots.(k) in
     let touched = ref [] in
-    for c = 0 to Array.length slots - 1 do
-      let sl = slots.(c) in
-      let i = region_of_slot.(sl) in
-      if row_len.(i) = 0 then touched := i :: !touched;
-      row_len.(i) <- row_len.(i) + slot_nops.(sl)
-    done;
-    let woken = Array.of_list (List.sort Int.compare !touched) in
-    let w_ops = Array.make (Array.length woken) [||] in
-    for j = 0 to Array.length woken - 1 do
-      let i = woken.(j) in
-      w_ops.(j) <- Array.make row_len.(i) 0;
-      rows.(i) <- w_ops.(j);
-      row_len.(i) <- 0
-    done;
-    for c = 0 to Array.length slots - 1 do
-      let sl = slots.(c) in
-      let i = region_of_slot.(sl) in
-      for j = slot_first.(sl) to slot_first.(sl) + slot_nops.(sl) - 1 do
-        rows.(i).(row_len.(i)) <- j;
-        row_len.(i) <- row_len.(i) + 1
-      done
-    done;
     Array.iter
-      (fun i ->
-        row_len.(i) <- 0;
-        rows.(i) <- [||])
-      woken;
-    { w_cone = Reach.cone_size reach wake_ids.(k); w_regions = woken; w_ops }
+      (fun sl ->
+        let i = region_of_slot.(sl) in
+        if rows.(i) = [] then touched := i :: !touched;
+        for j = slot_first.(sl) to slot_first.(sl) + slot_nops.(sl) - 1 do
+          rows.(i) <- j :: rows.(i)
+        done)
+      cone_slots.(k);
+    let woken = Array.of_list (List.sort Int.compare !touched) in
+    let take i =
+      let row = Array.of_list (List.rev rows.(i)) in
+      rows.(i) <- [];
+      row
+    in
+    {
+      w_cone = Reach.cone_size reach wake_ids.(k);
+      w_regions = woken;
+      w_ops = Array.map take woken;
+    }
   in
   let wake = Array.init (Array.length wake_ids) wake_row in
   let region_sources = Array.make nregions Reach.set_empty in
@@ -969,7 +957,6 @@ let plan : type r. r Signal.t -> plan =
     p_state_copy = state_copy;
     p_state_node = state_node;
     p_ops = ops;
-    p_op_nodes = op_nodes;
     p_wake_ids = wake_ids;
     p_wake = wake;
     p_region_sources = region_sources;
@@ -1014,7 +1001,6 @@ let group_of pl i = pl.p_group_of.(i)
 let group_regions pl g = pl.p_group_regions.(g)
 let group_deps pl = pl.p_group_deps
 let group_preds pl g = pl.p_group_preds.(g)
-let op_nodes pl i = pl.p_op_nodes.(i)
 
 let no_wake = { w_cone = 0; w_regions = [||]; w_ops = [||] }
 

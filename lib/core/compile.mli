@@ -211,10 +211,6 @@ val wake : plan -> int -> wake
     source of the plan gets the empty row (cone 0, no regions). O(log
     sources), allocation-free. *)
 
-val op_nodes : plan -> int -> int array
-(** [op_nodes plan i] maps each op index of region [i] to the node id it
-    was compiled for. The plan's own array — treat as read-only. *)
-
 val pp_plan : Format.formatter -> plan -> unit
 (** One line per region ([region i (rep id name): members...]) followed by
     the cut async edges. *)

@@ -7,11 +7,11 @@
    session's inbox and are drained before the task returns. That shape lets
    the pool be much simpler than a general scheduler:
 
-   - Each [run] distributes the tasks round-robin into per-worker
-     queues. A queue is a strided slice of the task indices (every
-     [domains]-th one, nothing copied) plus an [Atomic.t] cursor; taking a
-     task is one [Atomic.fetch_and_add] and a bounds check, so owners and
-     thieves race lock-free without loss or duplication.
+   - Each [run] distributes the task array round-robin into per-worker
+     queues. A queue is an immutable slice of the task array plus an
+     [Atomic.t] cursor; taking a task is one [Atomic.fetch_and_add] and a
+     bounds check, so owners and thieves race lock-free without loss or
+     duplication.
    - A worker drains its own queue, then probes the other queues in a
      seeded pseudo-random order, stealing from whichever still has work.
      The seed makes steal schedules reproducible: the interleaving checker
@@ -44,15 +44,11 @@ type worker_stats = {
           proxy for idle time (the pool never sleeps mid-run, it probes). *)
 }
 
-(* One worker's view of the current sliced batch. Worker [w]'s queue is
-   the task indices [starts.(w) + k * stride] for [k < lens.(w)];
-   [cursors.(w)] is the next unclaimed [k]. [task i w] runs task [i] as
-   worker [w]. *)
+(* One worker's view of the current sliced batch. [queues.(w)] is the
+   slice of tasks initially assigned to worker [w]; [cursors.(w)] indexes
+   the next unclaimed task in that slice. *)
 type batch = {
-  task : int -> int -> unit;
-  stride : int;
-  starts : int array;
-  lens : int array;
+  queues : (int -> unit) array array;
   cursors : int Atomic.t array;
   remaining : int Atomic.t;  (* tasks not yet finished (not just claimed) *)
   order : int array array;  (* order.(w) = seeded victim probe order for w *)
@@ -114,59 +110,55 @@ let victim_order ~seed ~domains w =
   done;
   order
 
-(* Claim the next task index of worker [v]'s queue: lock-free, [-1] when
-   the queue is drained. Over-claiming is impossible — fetch_and_add hands
-   out each position exactly once; positions past the end are simply
-   discarded. *)
-let take b v =
-  let k = Atomic.fetch_and_add b.cursors.(v) 1 in
-  if k < b.lens.(v) then b.starts.(v) + (k * b.stride) else -1
+(* Claim the next task of [q]/[cursor]: lock-free, returns [None] when the
+   queue is drained. Over-claiming is impossible — fetch_and_add hands out
+   each index exactly once; indices past the end are simply discarded. *)
+let take queues cursors v =
+  let q = queues.(v) in
+  let i = Atomic.fetch_and_add cursors.(v) 1 in
+  if i < Array.length q then Some q.(i) else None
 
 let record_error t exn =
   (* Keep the first error; later ones lose the race and are dropped (the
      batch still runs to completion so [run]'s barrier stays simple). *)
   ignore (Atomic.compare_and_set t.p_error None (Some exn))
 
-(* Run sliced batch [b] as worker [w] until no queue has work, then
-   retire everything it ran from [b.remaining] in one step: the batch is
-   globally done only when that hits 0 (another worker may still be
-   finishing a claimed task). One shared decrement per worker, not per
-   task, keeps the workers off a common cache line while they run. *)
+(* Run sliced batch [b] as worker [w] until no queue has work. Returns when
+   the worker can no longer find a task; the batch is globally done only
+   when [b.remaining] hits 0 (another worker may still be finishing a
+   claimed task). *)
 let work t b w =
   let tasks = ref 0 and steals = ref 0 and idle = ref 0 in
-  let exec i =
-    (try b.task i w with exn -> record_error t exn);
-    incr tasks
+  let exec f =
+    (try f w with exn -> record_error t exn);
+    incr tasks;
+    ignore (Atomic.fetch_and_add b.remaining (-1))
   in
   let rec own () =
-    let i = take b w in
-    if i >= 0 then begin
-      exec i;
+    match take b.queues b.cursors w with
+    | Some f ->
+      exec f;
       own ()
-    end
-    else steal 0
-  and steal j =
-    if j < Array.length b.order.(w) then begin
-      let i = take b b.order.(w).(j) in
-      if i >= 0 then begin
+    | None -> steal 0
+  and steal i =
+    if i < Array.length b.order.(w) then begin
+      let v = b.order.(w).(i) in
+      match take b.queues b.cursors v with
+      | Some f ->
         incr steals;
-        exec i;
+        exec f;
         (* after a successful steal, the victim may have more: restart the
            probe sweep from our own (now surely empty) queue's victims *)
         steal 0
-      end
-      else begin
+      | None ->
         incr idle;
-        steal (j + 1)
-      end
+        steal (i + 1)
     end
   in
   own ();
   t.p_tasks.(w) <- t.p_tasks.(w) + !tasks;
   t.p_steals.(w) <- t.p_steals.(w) + !steals;
-  t.p_idle_probes.(w) <- t.p_idle_probes.(w) + !idle;
-  (* last: once this reaches 0 the caller may start the next batch *)
-  ignore (Atomic.fetch_and_add b.remaining (- !tasks))
+  t.p_idle_probes.(w) <- t.p_idle_probes.(w) + !idle
 
 (* Run DAG batch [d] as worker [w]: pop a ready task, run it, release the
    dependents whose last predecessor it was, until every task finished.
@@ -287,27 +279,30 @@ let run_job t job ~remaining ~self =
   | Some exn -> raise exn
   | None -> ()
 
-let run_indexed ?(seed = 0) t total task =
+let run ?(seed = 0) t tasks =
   if t.p_closing then invalid_arg "Pool.run: pool is closed";
   if t.p_running then invalid_arg "Pool.run: already running a batch";
-  if total <= 0 then ()
+  let total = Array.length tasks in
+  if total = 0 then ()
   else begin
     t.p_running <- true;
     let n = t.p_domains in
     (* Round-robin deal, rotated by the seed so the initial placement —
-       not just the steal order — varies across seeds: task [i] starts in
-       worker [(i + rot) mod n]'s queue, in ascending order. *)
-    let rot = lcg seed mod n in
-    let starts = Array.init n (fun w -> (w - rot + n) mod n) in
+       not just the steal order — varies across seeds. *)
+    let rot = if n = 0 then 0 else lcg seed mod n in
+    let per = Array.make n 0 in
+    Array.iteri (fun i _ -> per.((i + rot) mod n) <- per.((i + rot) mod n) + 1) tasks;
+    let queues = Array.map (fun k -> Array.make k (fun _ -> ())) per in
+    let fill = Array.make n 0 in
+    Array.iteri
+      (fun i f ->
+        let w = (i + rot) mod n in
+        queues.(w).(fill.(w)) <- f;
+        fill.(w) <- fill.(w) + 1)
+      tasks;
     let b =
       {
-        task;
-        stride = n;
-        starts;
-        lens =
-          Array.map
-            (fun s -> if s < total then ((total - s - 1) / n) + 1 else 0)
-            starts;
+        queues;
         cursors = Array.init n (fun _ -> Atomic.make 0);
         remaining = Atomic.make total;
         order = Array.init n (fun w -> victim_order ~seed ~domains:n w);
@@ -315,9 +310,6 @@ let run_indexed ?(seed = 0) t total task =
     in
     run_job t (Slices b) ~remaining:b.remaining ~self:(fun () -> work t b 0)
   end
-
-let run ?seed t tasks =
-  run_indexed ?seed t (Array.length tasks) (fun i w -> tasks.(i) w)
 
 let run_dag ?(seed = 0) t ~deps tasks =
   if t.p_closing then invalid_arg "Pool.run_dag: pool is closed";

@@ -36,11 +36,6 @@ val run : ?seed:int -> t -> (int -> unit) array -> unit
     here after the batch completes; the rest are dropped. Raises
     [Invalid_argument] on reentrant use or after {!close}. *)
 
-val run_indexed : ?seed:int -> t -> int -> (int -> int -> unit) -> unit
-(** [run_indexed ~seed t n task] is [run ~seed t] over the tasks
-    [fun w -> task i w] for [i < n], without building them: the same
-    deal, steal order and barrier, and no per-task allocation. *)
-
 val run_dag : ?seed:int -> t -> deps:int list array -> (int -> unit) array -> unit
 (** [run_dag ~seed t ~deps tasks] executes a dependency DAG of tasks and
     returns when all have finished (a barrier). [deps.(i)] lists the

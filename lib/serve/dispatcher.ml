@@ -62,9 +62,6 @@ type 'a t = {
   d_delay_lock : Mutex.t;  (* guards d_delays + d_seq (workers schedule) *)
   mutable d_domain_stats : Stats.t array;
       (* per-worker-slot accumulators, grown lazily to the pool width *)
-  mutable d_deal : int array;
-      (* session id -> its group in the ready queue being dealt; -1 between
-         deals. Grown lazily to [d_next_sid]. *)
   mutable d_next_sid : int;
   mutable d_opened : int;
   mutable d_closed : int;
@@ -154,7 +151,6 @@ let create ?tracer ?(on_node_error = Runtime.Propagate) ?queue_capacity
     d_in_parallel = in_parallel;
     d_delay_lock = delay_lock;
     d_domain_stats = [||];
-    d_deal = [||];
     d_next_sid = 0;
     d_opened = 0;
     d_closed = 0;
@@ -371,49 +367,24 @@ let ensure_domain_stats d n =
           if i < Array.length d.d_domain_stats then d.d_domain_stats.(i)
           else Stats.create ())
 
-(* Deal the global ready queue by session id: [(n, sids, wakes)] holds the
-   [n] ids seen, in first-seen order (deterministic: depends only on queue
-   contents), and each one's wakes in arrival order, reversed. No session
-   is touched — that is the coordinator's serial share of a parallel
-   round, so it stays one pass over the queue; [claim] (run by the task
-   that will drain the session) moves the wakes into the session's
-   inbox. *)
+(* Deal the global ready queue into per-session inboxes, returning the
+   sessions that became runnable in first-seen order (deterministic:
+   depends only on queue contents). *)
 let deal_ready d =
-  let len = Queue.length d.d_ready in
-  if Array.length d.d_deal < d.d_next_sid then
-    d.d_deal <- Array.make (max d.d_next_sid (2 * Array.length d.d_deal)) (-1);
-  let group = d.d_deal in
-  let sids = Array.make len 0 and wakes = Array.make len [] in
-  let n = ref 0 in
-  Queue.iter
-    (fun (sid, source) ->
-      let k = group.(sid) in
-      if k >= 0 then wakes.(k) <- source :: wakes.(k)
-      else begin
-        group.(sid) <- !n;
-        sids.(!n) <- sid;
-        wakes.(!n) <- [ source ];
-        incr n
-      end)
-    d.d_ready;
-  Queue.clear d.d_ready;
-  for k = 0 to !n - 1 do
-    group.(sids.(k)) <- -1
-  done;
-  (!n, sids, wakes)
-
-(* Dealt group [k]'s session with its wakes queued on its inbox, or [None]
-   if it was closed since they were routed. *)
-let claim d (_, sids, wakes) k =
-  match find d sids.(k) with
-  | Some s ->
-    List.iter (Session.wake_push s) (List.rev wakes.(k));
-    Some s
-  | None -> None
-
-let dealt_sessions d =
-  let ((n, _, _) as dealt) = deal_ready d in
-  List.filter_map (claim d dealt) (List.init n Fun.id)
+  let runnable = ref [] in
+  let rec go () =
+    match Queue.take_opt d.d_ready with
+    | Some (sid, source) ->
+      (match find d sid with
+      | Some s ->
+        if not (Session.has_wakes s) then runnable := s :: !runnable;
+        Session.wake_push s source
+      | None -> ());
+      go ()
+    | None -> ()
+  in
+  go ();
+  List.rev !runnable
 
 (* At global quiescence: deliver the earliest batch of due delays — all
    heap entries at the minimum due time, but at most one per session, in
@@ -465,15 +436,13 @@ let drain_parallel ?(seed = 0) d =
   check_not_parallel d "drain_parallel";
   let n = Pool.domains pool in
   ensure_domain_stats d n;
-  (* Dispatches are counted from the per-domain rows afterwards, not by a
-     shared counter the workers would contend on: every dealt session is
-     open, so each step bills exactly one event. *)
-  let events_before = Array.map (fun st -> st.Stats.events) d.d_domain_stats in
+  let dispatched = Atomic.make 0 in
   let task_of s w =
     let before = Stats.copy (Session.stats s) in
     let rec go () =
       match Session.wake_pop s with
       | Some source ->
+        ignore (Atomic.fetch_and_add dispatched 1);
         Session.step s ~source;
         go ()
       | None -> ()
@@ -485,27 +454,22 @@ let drain_parallel ?(seed = 0) d =
      coordinator-sequential delay delivery. Terminates when a round ends
      with nothing runnable and an empty (or all-future-quiet) heap — the
      same quiescence the sequential drain reaches. *)
-  let rec rounds i n task =
-    if n > 0 then begin
+  let rec rounds i runnable =
+    (match runnable with
+    | [] -> ()
+    | _ :: _ ->
       d.d_in_parallel := true;
       Fun.protect
         ~finally:(fun () -> d.d_in_parallel := false)
-        (fun () -> Pool.run_indexed ~seed:(seed + i) pool n task)
-    end;
+        (fun () ->
+          Pool.run ~seed:(seed + i) pool
+            (Array.of_list (List.map task_of runnable))));
     match deliver_due_delays d with
     | [] -> ()
-    | next ->
-      let sessions = Array.of_list next in
-      rounds (i + 1) (Array.length sessions) (fun k w -> task_of sessions.(k) w)
+    | next -> rounds (i + 1) next
   in
-  let ((n, _, _) as dealt) = deal_ready d in
-  rounds 0 n (fun k w ->
-      match claim d dealt k with Some s -> task_of s w | None -> ());
-  let dispatched = ref 0 in
-  Array.iteri
-    (fun w st -> dispatched := !dispatched + st.Stats.events - events_before.(w))
-    d.d_domain_stats;
-  !dispatched
+  rounds 0 (deal_ready d);
+  Atomic.get dispatched
 
 (* ------------------------------------------------------------------ *)
 (* Intra-session parallel drain.
@@ -611,7 +575,7 @@ let drain_intra ?(seed = 0) d =
         active;
       sweep i (List.rev !next)
   in
-  sweep 0 (dealt_sessions d);
+  sweep 0 (deal_ready d);
   !dispatched
 
 let drain d =

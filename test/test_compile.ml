@@ -179,6 +179,31 @@ let test_wake_table_matches_reach () =
           Printf.sprintf "shape %d%s" shape (if fused then " fused" else "")
         in
         let indices n = List.init n Fun.id in
+        (* A node's ops, in compiled order: its member op, one tap per
+           async/delay node it feeds, and the display op if it is the root.
+           A region lays its members' ops out in member order. *)
+        let op_count = Hashtbl.create 64 in
+        let bump id =
+          Hashtbl.replace op_count id
+            (1 + Option.value ~default:1 (Hashtbl.find_opt op_count id))
+        in
+        List.iter
+          (fun (Signal.Pack n) ->
+            match Signal.kind n with
+            | Signal.Async inner | Signal.Delay (_, inner) ->
+              bump (Signal.id inner)
+            | _ -> ())
+          nodes;
+        bump (Signal.id root);
+        let op_nodes i =
+          Array.of_list
+            (List.concat_map
+               (fun id ->
+                 List.init
+                   (Option.value ~default:1 (Hashtbl.find_opt op_count id))
+                   (fun _ -> id))
+               (Compile.region plan i).Compile.rg_member_ids)
+        in
         let check_row src =
           let w = Compile.wake plan src in
           let in_cone id = Reach.affects reach ~source:src ~node:id in
@@ -201,7 +226,7 @@ let test_wake_table_matches_reach () =
               check_bool (where ^ ": region_sources agrees")
                 (Array.mem i w.Compile.w_regions)
                 (Reach.set_mem src (Compile.region_sources plan i));
-              let op_nodes = Compile.op_nodes plan i in
+              let op_nodes = op_nodes i in
               let expected =
                 List.filter
                   (fun j -> in_cone op_nodes.(j))
