@@ -48,6 +48,10 @@ let or_die f =
   | Felm.Trace.Trace_error (msg, line) ->
     Printf.eprintf "Trace error on line %d: %s\n" line msg;
     exit 1
+  | Invalid_argument msg ->
+    (* a refused option combination, e.g. --domains with --backend=pipelined *)
+    Printf.eprintf "Error: %s\n" msg;
+    exit 2
 
 let load_checked path =
   let program = Felm.Program.of_source (read_file path) in
@@ -246,9 +250,8 @@ let run_cmd =
              Displayed values and virtual times are bit-identical to the \
              sequential dispatcher for every $(docv). $(b,--domains=1) \
              runs the wave coordinator without a pool (the sequential \
-             wave baseline); with $(b,--backend=pipelined), \
-             $(b,--queue-capacity) or a scheduler mutation the option \
-             silently falls back to the threaded dispatcher.")
+             wave baseline). Combining it with $(b,--backend=pipelined) \
+             or $(b,--queue-capacity) is an error.")
   in
   let run file replay trace_out sequential print_stats no_fuse backend policy
       capacity sched_seed sched_pct domains =

@@ -119,7 +119,7 @@ type exec = {
   x_arena : arena;
   x_flood : bool;  (* flood dispatch: every node active every round *)
   x_stats : Stats.t;
-  x_guards : guarded array;  (* per slot; see {!config.cfg_guard} *)
+  x_guards : guarded array;  (* per slot; see {!config.cfg_guards} *)
   x_account :
     node:int -> epoch:int -> changed:bool -> real:bool -> int option;
   mutable x_root_stamp : int option;
@@ -1238,7 +1238,7 @@ type config = {
          Returns the epoch actually stamped, [None] if the emission was
          swallowed by a mutation. [real] marks the one emission per round
          that still leaves the region as a channel message (the root's). *)
-  cfg_guard : int -> guarded;  (* per-node supervisor *)
+  cfg_guards : plan -> guarded array;  (* per-slot supervisors *)
   cfg_fire_async : int -> unit;  (* async/delay: register a global event *)
   cfg_notify : int -> unit;  (* input push: register a global event *)
 }
@@ -1289,7 +1289,7 @@ let instantiate : type r. config -> r Signal.t -> r instance =
       x_arena = arena;
       x_flood = cfg.cfg_flood;
       x_stats = stats;
-      x_guards = Array.map (fun id -> cfg.cfg_guard id) pl.p_slot_ids;
+      x_guards = cfg.cfg_guards pl;
       x_account = cfg.cfg_account;
       x_root_stamp = None;
       x_pop = (fun sl -> Mailbox.recv (value_mb sl));

@@ -324,7 +324,8 @@ type config = {
           mutation swallowed the emission. [real] marks the root's
           emission, the only one that still leaves the region as a
           channel message. *)
-  cfg_guard : int -> guarded;  (** Per-node supervisor factory. *)
+  cfg_guards : plan -> guarded array;
+      (** Per-slot supervisors for the plan ([Exec.guards]). *)
   cfg_fire_async : int -> unit;
       (** Async/delay boundary: register a global event for this source. *)
   cfg_notify : int -> unit;  (** Input push: register a global event. *)

@@ -17,7 +17,7 @@ type dispatch =
   | Flood
   | Cone
 
-type error_policy =
+type error_policy = Exec.error_policy =
   | Propagate
   | Isolate
   | Restart of int
@@ -72,12 +72,9 @@ type 'a t = {
   stats : Stats.t;
   new_event : int Mailbox.t;
   nodes : int;
-  history : int option;
   mutable current : 'a;
-  mutable rev_changes : (float * 'a) list;
-  mutable n_changes : int;
-  mutable rev_messages : (float * 'a Event.t) list;
-  mutable n_messages : int;
+  changes : (float * 'a) History.t;
+  messages : (float * 'a Event.t) History.t;
   listeners : (float -> 'a -> unit) Queue.t;
   mutable sources : (int * string) list;
   mutable stopped : bool;
@@ -238,75 +235,12 @@ let recv_wake ctx ~id wake =
   | Some tr -> Trace.node_start tr ~node:id ~epoch:r.epoch);
   r
 
-let note_failure ctx ~id ~epoch =
-  ctx.c_stats.node_failures <- ctx.c_stats.node_failures + 1;
-  match ctx.c_tracer with
-  | None -> ()
-  | Some tr -> Trace.node_failure tr ~node:id ~epoch
-
 (* Per-node supervisor, created once at build time so a [Restart] budget is
-   local to the node. It wraps only the {e fallible} part of a round — the
-   user function application, after every incoming edge has been read — so
-   per-event alignment is never at stake: a failed round still emits, and
-   what it emits is [No_change last-good], which is exactly the message a
-   quiescent node would have produced. [reset] reinitialises node state
-   ([foldp] accumulator, composite step); [Isolate] never calls it,
-   [Restart n] calls it on the first [n] failures and then degrades to
-   [Isolate]. Under [Propagate] the wrapper is the identity: exceptions
-   unwind the node thread and surface out of [Cml.run], the seed
-   behaviour. *)
+   local to the node (see [Exec.guard]). Under [Propagate] exceptions unwind
+   the node thread and surface out of [Cml.run], the seed behaviour. *)
 let supervisor ctx ~id =
-  match ctx.c_policy with
-  | Propagate -> fun ~prev:_ ~reset:_ ~epoch:_ f -> f ()
-  | Isolate ->
-    fun ~prev ~reset:_ ~epoch f ->
-      (try f ()
-       with _ ->
-         note_failure ctx ~id ~epoch;
-         Event.No_change prev)
-  | Restart budget ->
-    let left = ref budget in
-    fun ~prev ~reset ~epoch f ->
-      (try f ()
-       with _ ->
-         note_failure ctx ~id ~epoch;
-         if !left > 0 then begin
-           decr left;
-           ctx.c_stats.node_restarts <- ctx.c_stats.node_restarts + 1;
-           reset ()
-         end;
-         Event.No_change prev)
-
-(* The compiled backend's form of [supervisor]: the same per-node policy
-   and [Restart] budget, packaged behind [Compile.guarded]'s polymorphic
-   field so the region step can apply it at the node's value type. The
-   budget ref is monomorphic, so one record per node keeps it across
-   rounds. *)
-let make_guard ctx ~id =
-  let left =
-    ref (match ctx.c_policy with Restart budget -> budget | Propagate | Isolate -> 0)
-  in
-  {
-    Compile.guard =
-      (fun ~prev ~reset ~epoch f ->
-        match ctx.c_policy with
-        | Propagate -> f ()
-        | Isolate -> (
-          try f ()
-          with _ ->
-            note_failure ctx ~id ~epoch;
-            Event.No_change prev)
-        | Restart _ -> (
-          try f ()
-          with _ ->
-            note_failure ctx ~id ~epoch;
-            if !left > 0 then begin
-              decr left;
-              ctx.c_stats.node_restarts <- ctx.c_stats.node_restarts + 1;
-              reset ()
-            end;
-            Event.No_change prev));
-  }
+  (Exec.guard ctx.c_policy ~stats:ctx.c_stats ~tracer:ctx.c_tracer ~id)
+    .Compile.guard
 
 (* Register this node with the dispatcher: the returned mailbox receives one
    [round] per event whose cone contains the node. The mailbox is named so
@@ -729,100 +663,56 @@ and build_fresh : type b. ctx -> b Signal.t -> b Signal.inst =
         loop (Signal.default gate) default);
     plain out
 
-(* Bounded history: newest-first lists capped at [2*cap] transiently and
-   truncated back to [cap] (amortized O(1) per append). [Some 0] disables
-   logging entirely; [None] keeps everything (the seed behaviour). *)
-let rec take n = function
-  | x :: rest when n > 0 -> x :: take (n - 1) rest
-  | _ -> []
+(* The display record both dispatchers write: the trace instant, the
+   message log, and on a change the current value, the change log and the
+   listeners. *)
+let record_display rt ~tracer ~epoch msg =
+  (match tracer with
+  | None -> ()
+  | Some tr -> Trace.display tr ~epoch ~changed:(Event.is_change msg));
+  let time = Cml.now () in
+  History.record rt.messages (time, msg);
+  match msg with
+  | Event.Change v ->
+    rt.current <- v;
+    History.record rt.changes (time, v);
+    Queue.iter (fun f -> f time v) rt.listeners
+  | Event.No_change _ -> ()
 
-let push_bounded history lst count x =
-  match history with
-  | None -> (x :: lst, count + 1)
-  | Some 0 -> (lst, count)
-  | Some cap ->
-    if count + 1 > 2 * cap then (take cap (x :: lst), cap)
-    else (x :: lst, count + 1)
+let new_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes ~history ~sources
+    ~owned_pool ~d_stats root =
+  {
+    gen;
+    mode;
+    dispatch;
+    stats;
+    new_event;
+    nodes;
+    current = Signal.default root;
+    changes = History.create history;
+    messages = History.create history;
+    listeners = Queue.create ();
+    sources;
+    stopped = false;
+    owned_pool;
+    d_stats;
+    quiesce = Queue.create ();
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Intra-session parallel dispatch (wave mode).
 
    [start ~domains:k] (or [~pool]) on the compiled backend replaces the
    threaded region dispatcher with a coordinator that batches the queued
-   events into a {e wave}, runs the wave's active region groups — the
-   plan's SCC-condensed region dependency DAG, see [Compile.group_deps] —
-   on a domain pool via [Pool.run_dag], and then flushes every buffered
-   boundary effect in one canonical order.
-
-   Why this is exact (checked bit-for-bit by the explorer's Domains mode
-   and bench B19):
-
-   - Under cone dispatch one event wakes exactly one region (a source's
-     synchronous cone is region-local), so a wave's work partitions by
-     region group; two groups share no arena slot, no pending-value queue
-     and no scratch counters, so their op execution commutes.
-   - Every cross-group interaction is an async/delay seam or the display,
-     and none is consumed in the epoch that produces it: async fires
-     re-enter through [newEvent] as fresh dispatcher events, delays
-     through the timer, displays only leave the graph. Buffering those
-     effects during the wave and flushing them afterwards, stably ordered
-     by (admission epoch, group index), therefore reproduces exactly the
-     sequence a wave of size one — i.e. a sequential dispatcher — would
-     have produced.
-   - Epochs are assigned FIFO at admission by the coordinator, so
-     per-source event order is the paper's arrival order whatever the
-     wave boundaries or the domain count.
-
-   With [k = 1] no pool exists and a wave's groups run inline in a
-   deterministic topological order: the sequential baseline the oracle
-   compares against, with no pool or buffering overhead beyond the queue
-   swap itself. *)
-
-type weffect =
-  | W_push of int * Obj.t  (* pending value for a source slot *)
-  | W_fire of int  (* async boundary: register a global event *)
-  | W_delay of int * int * float * Obj.t  (* node, slot, seconds, value *)
-  | W_observe of int * int * bool  (* node, stamped epoch, changed *)
-  | W_display of int * bool * Obj.t  (* stamped epoch, changed, value *)
-
-type wgroup = {
-  wg_index : int;  (* group index in the plan *)
-  wg_regions : int array;  (* member region indices, ascending *)
-  wg_exec : Compile.exec;
-  wg_stats : Stats.t;  (* scratch, owned by the task running the group *)
-  mutable wg_snap : Stats.t;  (* last state merged into the main stats *)
-  wg_epoch : int ref;  (* current round's epoch, tags buffered effects *)
-  wg_effects : (int * weffect) Queue.t;  (* (admission epoch, effect) *)
-  wg_rounds : Compile.round Queue.t;  (* this wave's work, coordinator-filled *)
-}
-
-(* [make_guard] without the ctx: bills failures into the group's scratch
-   stats (merged wave-by-wave by the coordinator) so concurrently running
-   groups never contend on a counter. Budget refs are per slot and a slot
-   belongs to exactly one group, so they are uncontended too. *)
-let make_wave_guard ~policy ~stats ~tracer ~id =
-  let left =
-    ref (match policy with Restart budget -> budget | Propagate | Isolate -> 0)
-  in
-  {
-    Compile.guard =
-      (fun ~prev ~reset ~epoch f ->
-        match policy with
-        | Propagate -> f ()
-        | Isolate | Restart _ -> (
-          try f ()
-          with _ ->
-            stats.Stats.node_failures <- stats.Stats.node_failures + 1;
-            (match tracer with
-            | None -> ()
-            | Some tr -> Trace.node_failure tr ~node:id ~epoch);
-            if !left > 0 then begin
-              decr left;
-              stats.Stats.node_restarts <- stats.Stats.node_restarts + 1;
-              reset ()
-            end;
-            Event.No_change prev));
-  }
+   events into a {e wave}, runs the wave's active region groups through
+   the group executor ([Exec]: on the pool via [Pool.run_dag], or inline
+   in Kahn order at [k = 1]), and flushes every buffered boundary effect
+   in (admission epoch, group index) order. Epochs are assigned FIFO at
+   admission, so per-source order is arrival order whatever the wave
+   boundaries or the domain count. This function is only the driver:
+   input wiring, the coordinator loop, and what a flushed effect means
+   here — a fire re-enters through [newEvent], a delay through a Cml
+   sleeper on the virtual clock, a display goes to the change log. *)
 
 let start_wave : type r.
     mode:mode ->
@@ -840,7 +730,6 @@ let start_wave : type r.
  fun ~mode ~dispatch ~history ~tracer ~policy ~observer ~original_nodes ~fuse
      ~pool ~owned_pool root ->
   let pl = Compile.plan_of root in
-  let reach = Compile.reach pl in
   let gen = fresh_generation () in
   let stats = Stats.create () in
   let new_event = Mailbox.create ~name:"newEvent" () in
@@ -849,28 +738,15 @@ let start_wave : type r.
     Trace.set_pid tr gen;
     Trace.attach tr
   | None -> Cml.Probe.clear ());
-  let node_count = Reach.node_count reach in
+  let node_count = Compile.node_count pl in
   stats.Stats.fused_nodes <- (if fuse then original_nodes - node_count else 0);
-  let regions = Array.of_list (Compile.regions pl) in
-  stats.Stats.compiled_regions <- Array.length regions;
-  (match tracer with
-  | None -> ()
-  | Some tr ->
-    Array.iter
-      (fun rg ->
-        Trace.register_node tr ~id:rg.Compile.rg_rep
-          ~name:
-            (Printf.sprintf "region:%s(%d)" rg.Compile.rg_name
-               (List.length rg.Compile.rg_member_ids)))
-      regions);
-  let arena = Compile.new_arena pl in
-  (* Plain per-slot pending-value queues (the mailbox-less counterpart of
-     the instantiate wiring): pushed by injectors and the coordinator's
-     flush — never during a wave — and popped only by the owning region's
-     source op inside one, so no queue is ever touched from two domains at
+  stats.Stats.compiled_regions <- List.length (Compile.regions pl);
+  (* Plain per-slot pending-value queues: pushed by injectors and the
+     flush, never during a wave, and popped only by the owning region's
+     source op inside one, so no queue is touched from two domains at
      once. *)
   let queues : Obj.t Queue.t option array =
-    Array.make (max (Compile.node_count pl) 1) None
+    Array.make (max node_count 1) None
   in
   List.iter
     (fun (_id, sl, _bounded) -> queues.(sl) <- Some (Queue.create ()))
@@ -879,58 +755,6 @@ let start_wave : type r.
     match queues.(sl) with
     | Some q -> q
     | None -> invalid_arg "Runtime: not a source slot"
-  in
-  let ngroups = Compile.group_count pl in
-  let groups =
-    Array.init ngroups (fun g ->
-        let wg_stats = Stats.create () in
-        let epoch_ref = ref 0 in
-        let effects = Queue.create () in
-        let x =
-          {
-            Compile.x_arena = arena;
-            x_flood = (dispatch = Flood);
-            x_stats = wg_stats;
-            x_guards =
-              Array.map
-                (fun id -> make_wave_guard ~policy ~stats:wg_stats ~tracer ~id)
-                (Compile.slot_ids pl);
-            x_account =
-              (fun ~node ~epoch ~changed ~real ->
-                if real then
-                  wg_stats.Stats.messages <- wg_stats.Stats.messages + 1
-                else
-                  wg_stats.Stats.elided_messages <-
-                    wg_stats.Stats.elided_messages + 1;
-                (* The observer itself is replayed by the coordinator: the
-                   checker's hooks are not thread-safe, and replaying in
-                   flush order keeps the calls in the same global order a
-                   sequential dispatcher would have made them. *)
-                if observer <> None then
-                  Queue.push (!epoch_ref, W_observe (node, epoch, changed)) effects;
-                Some epoch);
-            x_root_stamp = None;
-            x_pop = (fun sl -> Queue.pop (queue_exn sl));
-            x_push = (fun sl v -> Queue.push (!epoch_ref, W_push (sl, v)) effects);
-            x_fire_async = (fun id -> Queue.push (!epoch_ref, W_fire id) effects);
-            x_delay =
-              (fun ~node ~slot ~seconds v ->
-                Queue.push (!epoch_ref, W_delay (node, slot, seconds, v)) effects);
-            x_display =
-              (fun ~epoch ~changed v ->
-                Queue.push (!epoch_ref, W_display (epoch, changed, v)) effects);
-          }
-        in
-        {
-          wg_index = g;
-          wg_regions = Array.of_list (Compile.group_regions pl g);
-          wg_exec = x;
-          wg_stats;
-          wg_snap = Stats.copy wg_stats;
-          wg_epoch = epoch_ref;
-          wg_effects = effects;
-          wg_rounds = Queue.create ();
-        })
   in
   (* Wire the input pushes: value first, notification second, exactly as
      the other backends do, so the wave finds the value waiting. *)
@@ -956,240 +780,59 @@ let start_wave : type r.
   let nworkers = match pool with Some p -> Pool.domains p | None -> 1 in
   let dstats = Array.init nworkers (fun _ -> Stats.create ()) in
   let rt =
-    {
-      gen;
-      mode;
-      dispatch;
-      stats;
-      new_event;
-      nodes = node_count;
-      history;
-      current = Signal.default root;
-      rev_changes = [];
-      n_changes = 0;
-      rev_messages = [];
-      n_messages = 0;
-      listeners = Queue.create ();
-      sources = Compile.sources pl;
-      stopped = false;
-      owned_pool;
-      d_stats = dstats;
-      quiesce = Queue.create ();
-    }
+    new_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes:node_count ~history
+      ~sources:(Compile.sources pl) ~owned_pool ~d_stats:dstats root
   in
-  let all_region_idxs = Array.init (Array.length regions) Fun.id in
-  (* Admit one event: assign the next epoch, bill the dispatch counters
-     exactly as the threaded dispatcher does, and append the round to each
-     active group's work queue. *)
-  let admit eid =
-    stats.events <- stats.events + 1;
-    let r = { Compile.epoch = stats.events; source = eid } in
-    let region_idxs, cone_sz =
-      match dispatch with
-      | Flood -> (all_region_idxs, node_count)
-      | Cone ->
-        let w = Compile.wake pl eid in
-        (w.Compile.w_regions, w.Compile.w_cone)
-    in
-    stats.notified_nodes <- stats.notified_nodes + Array.length region_idxs;
-    stats.elided_messages <- stats.elided_messages + (node_count - cone_sz);
-    (match tracer with
-    | None -> ()
-    | Some tr ->
-      Trace.dispatch tr ~source:eid ~epoch:r.Compile.epoch
-        ~targets:(Array.length region_idxs));
-    match dispatch with
-    | Flood -> Array.iter (fun wg -> Queue.push r wg.wg_rounds) groups
-    | Cone ->
-      (* One woken region -> one group today; the [seen] list only matters
-         if a future partition lets one source wake several regions of one
-         group (the round must still be queued once). *)
-      let seen = ref [] in
-      Array.iter
-        (fun i ->
-          let g = Compile.group_of pl i in
-          if not (List.mem g !seen) then begin
-            seen := g :: !seen;
-            Queue.push r groups.(g).wg_rounds
-          end)
-        region_idxs
-  in
-  (* Run one group's share of the wave (worker [w]): its queued rounds in
-     epoch order, each sweeping the group's woken regions in index order.
-     Per-domain attribution mirrors the serve layer: snapshot the scratch
-     before, bill the delta after. *)
-  let run_group wg w =
-    let before = Stats.copy wg.wg_stats in
-    let run_one r i =
-      let rep = regions.(i).Compile.rg_rep in
-      (match tracer with
-      | None -> ()
-      | Some tr -> Trace.node_start tr ~node:rep ~epoch:r.Compile.epoch);
-      wg.wg_stats.Stats.region_steps <- wg.wg_stats.Stats.region_steps + 1;
-      Compile.run_region pl wg.wg_exec i r;
-      match tracer with
-      | None -> ()
-      | Some tr -> Trace.node_end tr ~node:rep ~epoch:r.Compile.epoch
-    in
-    let rec go () =
-      match Queue.take_opt wg.wg_rounds with
-      | None -> ()
-      | Some r ->
-        wg.wg_epoch := r.Compile.epoch;
-        (match dispatch with
-        | Flood -> Array.iter (fun i -> run_one r i) wg.wg_regions
-        | Cone ->
-          Array.iter
-            (fun i -> if Compile.group_of pl i = wg.wg_index then run_one r i)
-            (Compile.wake pl r.Compile.source).Compile.w_regions);
-        go ()
-    in
-    go ();
-    Stats.add_delta dstats.(w) ~before ~after:wg.wg_stats
-  in
-  (* Execute the wave's active groups under the plan's group DAG: on the
-     pool via the ready-queue DAG mode, or inline (K = 1) in
-     smallest-index-first Kahn order — both are topological orders of the
-     same DAG, and group results are schedule-independent (see above), so
-     the choice is unobservable. *)
-  let run_wave actives =
-    match actives with
-    | [] -> ()
-    | [ wg ] -> run_group wg 0
-    | _ -> (
-      let arr = Array.of_list actives in
-      let n = Array.length arr in
-      let pos = Hashtbl.create 8 in
-      Array.iteri (fun i wg -> Hashtbl.replace pos wg.wg_index i) arr;
-      let preds =
-        Array.map
-          (fun wg ->
-            List.filter_map
-              (fun g -> Hashtbl.find_opt pos g)
-              (Compile.group_preds pl wg.wg_index))
-          arr
-      in
-      match (if rt.stopped then None else pool) with
-      | Some p ->
-        Pool.run_dag ~seed:stats.events p ~deps:preds
-          (Array.map (fun wg w -> run_group wg w) arr)
-      | None ->
-        let unmet = Array.map List.length preds in
-        let succ = Array.make n [] in
-        Array.iteri
-          (fun i ps -> List.iter (fun p -> succ.(p) <- i :: succ.(p)) ps)
-          preds;
-        let module IS = Set.Make (Int) in
-        let ready = ref IS.empty in
-        Array.iteri (fun i c -> if c = 0 then ready := IS.add i !ready) unmet;
-        while not (IS.is_empty !ready) do
-          let i = IS.min_elt !ready in
-          ready := IS.remove i !ready;
-          run_group arr.(i) 0;
-          List.iter
-            (fun j ->
-              unmet.(j) <- unmet.(j) - 1;
-              if unmet.(j) = 0 then ready := IS.add j !ready)
-            succ.(i)
-        done)
-  in
-  (* Flush the wave: apply every buffered boundary effect in (admission
-     epoch, group index) order — [stable_sort] keeps each group's own
-     effect order within a round, so a value push always precedes its
-     paired fire and member observations precede their round's display.
-     This is the coordinator acting as the display loop, the async
-     boundary threads and the delay spawner of the threaded build, in the
-     order a sequential dispatcher would have interleaved them. *)
-  let flush actives =
-    let tagged =
-      List.concat_map
-        (fun wg ->
-          let l =
-            Queue.fold
-              (fun acc (ep, e) -> (ep, wg.wg_index, e) :: acc)
-              [] wg.wg_effects
-          in
-          Queue.clear wg.wg_effects;
-          List.rev l)
-        actives
-    in
-    let ordered =
-      List.stable_sort
-        (fun ((e1 : int), (g1 : int), _) (e2, g2, _) ->
-          if e1 <> e2 then compare e1 e2 else compare g1 g2)
-        tagged
-    in
-    List.iter
-      (fun (_ep, _g, eff) ->
-        match eff with
-        | W_push (sl, v) -> Queue.push v (queue_exn sl)
-        | W_fire id ->
+  let handle = function
+    | Exec.Push (sl, v) -> Queue.push v (queue_exn sl)
+    | Exec.Fire id -> Mailbox.send new_event id
+    | Exec.Delay (node, slot, seconds, v) ->
+      Cml.spawn (fun () ->
+          Cml.sleep seconds;
+          Queue.push v (queue_exn slot);
           stats.async_events <- stats.async_events + 1;
-          Mailbox.send new_event id
-        | W_delay (node, slot, seconds, v) ->
-          Cml.spawn (fun () ->
-              Cml.sleep seconds;
-              Queue.push v (queue_exn slot);
-              stats.async_events <- stats.async_events + 1;
-              Mailbox.send new_event node)
-        | W_observe (node, epoch, changed) -> (
-          match observer with None -> () | Some f -> f ~node ~epoch ~changed)
-        | W_display (epoch, changed, v) ->
-          (match tracer with
-          | None -> ()
-          | Some tr -> Trace.display tr ~epoch ~changed);
-          let time = Cml.now () in
-          let v : r = Obj.obj v in
-          let msg = if changed then Event.Change v else Event.No_change v in
-          let msgs, nm =
-            push_bounded rt.history rt.rev_messages rt.n_messages (time, msg)
-          in
-          rt.rev_messages <- msgs;
-          rt.n_messages <- nm;
-          if changed then begin
-            rt.current <- v;
-            let chs, nc =
-              push_bounded rt.history rt.rev_changes rt.n_changes (time, v)
-            in
-            rt.rev_changes <- chs;
-            rt.n_changes <- nc;
-            Queue.iter (fun f -> f time v) rt.listeners
-          end)
-      ordered;
-    List.iter
-      (fun wg ->
-        Stats.add_delta stats ~before:wg.wg_snap ~after:wg.wg_stats;
-        wg.wg_snap <- Stats.copy wg.wg_stats)
-      actives;
-    stats.switches <- Cml.Scheduler.switch_count ()
+          Mailbox.send new_event node)
+    | Exec.Observe (node, epoch, changed) -> (
+      match observer with None -> () | Some f -> f ~node ~epoch ~changed)
+    | Exec.Display (epoch, changed, v) ->
+      let v : r = Obj.obj v in
+      record_display rt ~tracer ~epoch
+        (if changed then Event.Change v else Event.No_change v)
+  in
+  Option.iter (fun tr -> Exec.register_regions tr ~offset:0 ~label:"" pl) tracer;
+  let x =
+    Exec.create ~plan:pl ~flood:(dispatch = Flood) ~stats ~tracer ~offset:0
+      ~policy ~observe:(observer <> None)
+      ~arena:(Compile.new_arena pl)
+      ~pop:(fun sl -> Queue.pop (queue_exn sl))
+      ~handle
   in
   (* The coordinator: block for one event, then (in [Pipelined] mode)
      sweep everything else already queued into the same wave. [Sequential]
      keeps waves at size one — each event is fully displayed before the
      next is admitted, the non-pipelined baseline by construction. *)
-  let glist = Array.to_list groups in
   Cml.spawn (fun () ->
       let rec serve pending =
         let eid =
           match pending with Some e -> e | None -> Mailbox.recv new_event
         in
-        admit eid;
+        Exec.admit x ~source:eid;
         (match mode with
         | Sequential -> ()
         | Pipelined ->
           let rec drain_queued () =
             match Mailbox.recv_opt new_event with
             | Some eid ->
-              admit eid;
+              Exec.admit x ~source:eid;
               drain_queued ()
             | None -> ()
           in
           drain_queued ());
-        let actives =
-          List.filter (fun wg -> not (Queue.is_empty wg.wg_rounds)) glist
-        in
-        run_wave actives;
-        flush actives;
+        Exec.run
+          ?pool:(if rt.stopped then None else pool)
+          ~seed:stats.events ~dstats [ x ];
+        Exec.flush x;
+        stats.switches <- Cml.Scheduler.switch_count ();
         (* Wave boundary: if the flush registered no follow-up events (and
            none arrived meanwhile) the graph is settled — the quiescence
            seam where [at_quiescence] callbacks (live upgrades) run. *)
@@ -1227,6 +870,23 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   | Some n when n < 1 ->
     invalid_arg "Runtime.start: queue_capacity must be >= 1"
   | _ -> ());
+  (* Intra-session parallel dispatch needs the compiled backend's region
+     groups, and the wave coordinator supports neither planted mutations
+     nor mailbox capacities (its pending-value queues are plain and
+     unbounded by design: backpressure would block the coordinator
+     itself). A request outside that envelope is refused, not ignored. *)
+  let use_wave = domains <> None || pool <> None in
+  (if use_wave then
+     let conflict =
+       if backend <> Compiled then Some "needs ~backend:Compiled"
+       else if not memoize then Some "conflicts with ~memoize:false"
+       else if mutate <> None then Some "conflicts with ?mutate"
+       else if queue_capacity <> None then Some "conflicts with ?queue_capacity"
+       else None
+     in
+     Option.iter
+       (fun why -> invalid_arg ("Runtime.start: ?domains/?pool " ^ why))
+       conflict);
   (* The recompute-always baseline exists to measure pull-style costs, so it
      defaults to flooding; cone dispatch would silently skip the very
      recomputations it is meant to count. *)
@@ -1246,17 +906,6 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   (* [fuse_cached] keeps the fused root physically stable across starts of
      the same graph, which is what lets [Compile.plan_of] hit its cache. *)
   let root = if fuse then Fuse.fuse_cached root else root in
-  (* Intra-session parallel dispatch: only the compiled backend has the
-     region-group DAG, and the wave coordinator supports neither planted
-     mutations nor mailbox capacities (its pending-value queues are plain
-     and unbounded by design — backpressure would block the coordinator
-     itself). Outside that envelope a [?domains]/[?pool] request silently
-     falls back to the threaded dispatcher, exactly as [Compiled] itself
-     falls back under [memoize:false]. *)
-  let use_wave =
-    (domains <> None || pool <> None)
-    && backend = Compiled && mutate = None && queue_capacity = None
-  in
   if use_wave then begin
     let owned_pool, wave_pool =
       match pool with
@@ -1320,12 +969,13 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   let node_count = Reach.node_count reach in
   stats.Stats.fused_nodes <- (if fuse then original_nodes - node_count else 0);
   (* Per-backend instantiation. Both produce the same dispatcher inputs: a
-     display channel, the number of wakeup targets of an event, a sender
-     waking them with a round, and the per-event elided balance the
-     dispatcher still owes on top of what the woken threads account
-     themselves. The senders are plain index loops: an [Array.iter] would
-     allocate a fresh closure over the round per event. *)
-  let display_channel, count_targets, wake_targets, extra_elided, rt_sources =
+     display channel, the number of wakeup targets of an event, its cone
+     size (the nodes it reaches: every node outside the cone is an elided
+     emission the dispatcher owes, and the trace's dispatch row reports the
+     cone), and a sender waking the targets with a round. The senders are
+     plain index loops: an [Array.iter] would allocate a fresh closure over
+     the round per event. *)
+  let display_channel, count_targets, cone_of, wake_targets, rt_sources =
     match backend with
     | Pipelined ->
       (* One thread per node, one channel per edge (Fig. 10). Wakeup
@@ -1333,7 +983,7 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
          topological order; the flood plan is every node. Computed once at
          build time — dispatching an event is then one array iteration.
          Every woken node sends (or drops into) exactly one accounted
-         message, so the dispatcher owes the nodes it did not wake. *)
+         message, so the woken nodes are the cone. *)
       let root_inst = build ctx root in
       let mailboxes_of nodes =
         Array.of_list
@@ -1359,12 +1009,8 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
           send_round ctx (Array.unsafe_get t i) r
         done
       in
-      let extra_elided _eid n_targets = node_count - n_targets in
-      ( root_inst.Signal.out,
-        (fun eid -> Array.length (targets eid)),
-        wake,
-        extra_elided,
-        List.rev ctx.c_sources )
+      let count eid = Array.length (targets eid) in
+      (root_inst.Signal.out, count, count, wake, List.rev ctx.c_sources)
     | Compiled ->
       (* One step thread per synchronous region (see Compile): the
          dispatcher wakes regions instead of nodes. A woken region accounts
@@ -1381,7 +1027,7 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
           cfg_account =
             (fun ~node ~epoch ~changed ~real ->
               account ctx ~id:node ~epoch ~changed ~real);
-          cfg_guard = (fun id -> make_guard ctx ~id);
+          cfg_guards = Exec.guards on_node_error ~stats ~tracer ~offset:0;
           cfg_fire_async =
             (fun id ->
               stats.Stats.async_events <- stats.Stats.async_events + 1;
@@ -1412,38 +1058,20 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
             r
         done
       in
-      let extra_elided eid _n_targets =
+      let cone eid =
         match dispatch with
-        | Flood -> 0
-        | Cone -> node_count - (Compile.wake pl eid).Compile.w_cone
+        | Flood -> node_count
+        | Cone -> (Compile.wake pl eid).Compile.w_cone
       in
       ( inst.Compile.i_out,
         (fun eid -> Array.length (targets eid)),
+        cone,
         wake,
-        extra_elided,
         inst.Compile.i_sources )
   in
   let rt =
-    {
-      gen = ctx.rt_gen;
-      mode;
-      dispatch;
-      stats;
-      new_event;
-      nodes = node_count;
-      history;
-      current = Signal.default root;
-      rev_changes = [];
-      n_changes = 0;
-      rev_messages = [];
-      n_messages = 0;
-      listeners = Queue.create ();
-      sources = rt_sources;
-      stopped = false;
-      owned_pool = None;
-      d_stats = [||];
-      quiesce = Queue.create ();
-    }
+    new_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes:node_count ~history
+      ~sources:rt_sources ~owned_pool:None ~d_stats:[||] root
   in
   let root_reach = Reach.reaching reach (Signal.id root) in
   let reaches_root eid =
@@ -1458,25 +1086,7 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   Cml.spawn (fun () ->
       let rec display () =
         let { Event.epoch; event = msg } = Multicast.recv display_port in
-        (match tracer with
-        | None -> ()
-        | Some tr -> Trace.display tr ~epoch ~changed:(Event.is_change msg));
-        let time = Cml.now () in
-        let msgs, nm =
-          push_bounded rt.history rt.rev_messages rt.n_messages (time, msg)
-        in
-        rt.rev_messages <- msgs;
-        rt.n_messages <- nm;
-        (match msg with
-        | Event.Change v ->
-          rt.current <- v;
-          let chs, nc =
-            push_bounded rt.history rt.rev_changes rt.n_changes (time, v)
-          in
-          rt.rev_changes <- chs;
-          rt.n_changes <- nc;
-          Queue.iter (fun f -> f time v) rt.listeners
-        | Event.No_change _ -> ());
+        record_display rt ~tracer ~epoch msg;
         stats.switches <- Cml.Scheduler.switch_count ();
         (match mode with
         | Sequential -> Mailbox.send ack ()
@@ -1498,17 +1108,14 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
         in
         stats.events <- stats.events + 1;
         let r = { epoch = stats.events; source = eid } in
-        let n_targets = count_targets eid in
-        stats.notified_nodes <- stats.notified_nodes + n_targets;
-        stats.elided_messages <-
-          stats.elided_messages + extra_elided eid n_targets;
+        let cone = cone_of eid in
+        stats.notified_nodes <- stats.notified_nodes + count_targets eid;
+        stats.elided_messages <- stats.elided_messages + (node_count - cone);
         (* Record before the wakeups go out so the dispatch timestamp lower-
            bounds every node-start and display timestamp of this epoch. *)
         (match tracer with
         | None -> ()
-        | Some tr ->
-          Trace.dispatch tr ~source:eid ~epoch:r.epoch
-            ~targets:n_targets);
+        | Some tr -> Trace.dispatch tr ~source:eid ~epoch:r.epoch ~targets:cone);
         wake_targets eid r;
         stats.switches <- Cml.Scheduler.switch_count ();
         (match mode with
@@ -1538,8 +1145,6 @@ let inject rt input v =
       (Printf.sprintf "Runtime.inject: %s (node %d) is not an input of this runtime"
          (Signal.name input) (Signal.id input))
 
-let capped rt l = match rt.history with None -> l | Some cap -> take cap l
-
 let generation rt = rt.gen
 let current rt = rt.current
 
@@ -1558,8 +1163,8 @@ let stop rt =
 
 let domain_stats rt = rt.d_stats
 let at_quiescence rt f = Queue.add f rt.quiesce
-let changes rt = List.rev (capped rt rt.rev_changes)
-let message_log rt = List.rev (capped rt rt.rev_messages)
+let changes rt = History.recent rt.changes
+let message_log rt = History.recent rt.messages
 let on_change rt f = Queue.add f rt.listeners
 let stats rt = rt.stats
 let source_ids rt = rt.sources

@@ -84,29 +84,15 @@ type dispatch =
       (** Reachability-pruned dispatch: only the affected cone runs; elided
           [No_change] rounds are synthesized from epoch gaps. Default. *)
 
-(** What a node does when its user-supplied function (lifted function,
-    [foldp] step, [drop_repeats] equality, fused composite step) raises.
-
-    Whatever the policy, per-event alignment is preserved: a failed round
-    still emits exactly one message, and that message is [No_change] of the
-    node's last-good value — precisely what a quiescent node would have
-    sent, so downstream edge caches and the elision invariant are
-    untouched. Failures are counted in {!Stats.t.node_failures} and, when a
-    tracer is attached, recorded as [Node_fail] instants. *)
-type error_policy =
-  | Propagate
-      (** Seed behaviour (default): the exception unwinds the node thread
-          and surfaces out of {!Cml.run}, tearing the session down. *)
-  | Isolate
-      (** Catch the exception, emit [No_change last-good], keep the node's
-          state (accumulator, composite step) as it was, and keep going. *)
+(** What a node does when its user-supplied function raises: the policies
+    and their guarantees are documented at {!Exec.error_policy}, whose one
+    guard builder every backend uses. *)
+type error_policy = Exec.error_policy =
+  | Propagate  (** Default: the exception surfaces out of {!Cml.run}. *)
+  | Isolate  (** Emit [No_change last-good] and keep going. *)
   | Restart of int
-      (** Like [Isolate], but additionally re-initialise the node's state —
-          a fresh [foldp] accumulator from the signal default, a fresh
-          composite step from the fusion factory — on each of the first [n]
-          failures {e of that node} (counted in {!Stats.t.node_restarts});
-          after the budget is spent the node degrades to [Isolate].
-          [Restart 0] is equivalent to [Isolate]. *)
+      (** Like [Isolate], re-initialising the node's state on each of its
+          first [n] failures. *)
 
 (** A planted ordering bug, injected with [start ?mutate] so the
     schedule-exploration checker ([Check.Explore] in [lib/check]) can
@@ -232,14 +218,15 @@ val start :
     {!stop}; [~domains:1] runs waves inline with no pool (the sequential
     wave baseline); [~pool] borrows a caller-owned pool (never closed
     here) and takes precedence over [domains]. The wave coordinator
-    applies only when [backend = Compiled] and neither [mutate] nor
-    [queue_capacity] is given — otherwise the request silently falls back
-    to the threaded dispatcher, as [Compiled] itself does under
-    [memoize:false].
+    needs [backend = Compiled] with memoization on, and supports neither
+    [mutate] nor [queue_capacity]; a [domains]/[pool] request combined
+    with any of those is refused with [Invalid_argument] naming the
+    conflicting option.
     @raise Invalid_argument outside a running scheduler, when [history]
     is negative, when a [Restart] budget is negative, when
-    [queue_capacity < 1], when [domains < 1], or when a [mutate]
-    occurrence is [< 1]. *)
+    [queue_capacity < 1], when [domains < 1], when a [mutate]
+    occurrence is [< 1], or when [domains]/[pool] is combined with an
+    option the wave coordinator does not support (see above). *)
 
 val inject : _ t -> 'b Signal.t -> 'b -> unit
 (** [inject rt input v] delivers an external event: the new value [v] for

@@ -23,6 +23,7 @@ module Stats = Elm_core.Stats
 module Trace = Elm_core.Trace
 module Fuse = Elm_core.Fuse
 module Compile = Elm_core.Compile
+module Exec = Elm_core.Exec
 module Runtime = Elm_core.Runtime
 module Upgrade = Elm_core.Upgrade
 module Pqueue = Cml.Pqueue
@@ -44,7 +45,6 @@ type 'a t = {
   d_sessions : (int, 'a Session.t) Hashtbl.t;
   d_ready : (int * int) Queue.t;  (* (session id, source id), FIFO *)
   d_delays : ((float * int), delayed) Pqueue.t ref;
-  d_seq : int ref;  (* tie-break: equal due times stay FIFO *)
   d_now : float ref;  (* virtual clock, advanced by drain *)
   d_tracer : Trace.t option;
   d_policy : Runtime.error_policy;
@@ -57,9 +57,8 @@ type 'a t = {
   d_in_parallel : bool ref;
       (* true while pool workers are stepping sessions: boundary re-entries
          route to session inboxes instead of [d_ready], and the delay heap
-         goes behind [d_delay_lock]. A ref (not a field) because the env
+         goes behind the env's lock. A ref (not a field) because the env
          closures are built before the record. *)
-  d_delay_lock : Mutex.t;  (* guards d_delays + d_seq (workers schedule) *)
   mutable d_domain_stats : Stats.t array;
       (* per-worker-slot accumulators, grown lazily to the pool width *)
   mutable d_next_sid : int;
@@ -140,7 +139,6 @@ let create ?tracer ?(on_node_error = Runtime.Propagate) ?queue_capacity
     d_sessions = sessions;
     d_ready = ready;
     d_delays = delays;
-    d_seq = seq;
     d_now = now;
     d_tracer = tracer;
     d_policy = on_node_error;
@@ -149,7 +147,6 @@ let create ?tracer ?(on_node_error = Runtime.Propagate) ?queue_capacity
     d_pool = pool;
     d_intra = intra;
     d_in_parallel = in_parallel;
-    d_delay_lock = delay_lock;
     d_domain_stats = [||];
     d_next_sid = 0;
     d_opened = 0;
@@ -474,16 +471,18 @@ let drain_parallel ?(seed = 0) d =
 (* ------------------------------------------------------------------ *)
 (* Intra-session parallel drain.
 
-   Like [drain_parallel], but each runnable session's admitted round is
+   Like [drain_parallel], but each runnable session's admitted rounds are
    further split by region group, so data-independent groups of one
-   session also run concurrently: one pool task per (session, active
-   group), scheduled under the plan's group DAG via [Pool.run_dag] (edges
-   only between groups of the same session — sessions stay independent).
-   The coordinator owns everything order-sensitive: it admits wakes
-   (assigning epochs and dispatch billing) before the barrier, and flushes
-   each session's buffered async/delay re-entries after it in (admission
-   epoch, group) order — so per-session traces remain bit-identical to
-   [drain_sequential], which the serve tests and bench B19 gate. *)
+   session also run concurrently: every runnable session's group executor
+   ([Exec], the same core the runtime's wave coordinator drives) admits
+   its queued wakes, [Exec.run] schedules one pool task per (session,
+   active group) under each plan's group DAG (edges only within a session
+   — sessions stay independent), and each session is then flushed in
+   (admission epoch, group) order. Flushed async fires go back through
+   [env_fire] onto the ready queue and delays onto the heap, exactly as
+   sequential steps would have sent them, so per-session traces remain
+   bit-identical to [drain_sequential], which the serve tests and bench
+   B19 gate. *)
 
 let drain_intra ?(seed = 0) d =
   let pool =
@@ -495,25 +494,19 @@ let drain_intra ?(seed = 0) d =
   ensure_domain_stats d (Pool.domains pool);
   let dispatched = ref 0 in
   let admit_all s =
+    let x = Session.exec s in
     let rec go () =
       match Session.wake_pop s with
       | Some source ->
         incr dispatched;
-        Session.admit s ~source;
+        Session.drop_pending s;
+        (* a closed session consumes the wake without effect, as [step] *)
+        if not (Session.closed s) then Exec.admit x ~source;
         go ()
       | None -> ()
     in
-    go ()
-  in
-  let schedule_delay s ~node ~slot ~seconds v =
-    Session.mark_pending_delay s;
-    Mutex.lock d.d_delay_lock;
-    incr d.d_seq;
-    d.d_delays :=
-      Pqueue.insert !(d.d_delays)
-        (!(d.d_now) +. seconds, !(d.d_seq))
-        { dl_sid = Session.id s; dl_node = node; dl_slot = slot; dl_value = v };
-    Mutex.unlock d.d_delay_lock
+    go ();
+    x
   in
   (* One sweep = admit every queued wake, run the (session x group) task
      DAG, flush. Async re-entries queue the next sweep; delays are
@@ -524,56 +517,14 @@ let drain_intra ?(seed = 0) d =
     | [] -> (
       match deliver_due_delays d with [] -> () | next -> sweep (i + 1) next)
     | _ ->
-      List.iter admit_all runnable;
-      let active =
-        List.filter (fun s -> Session.active_groups s <> []) runnable
-      in
-      let pos = Hashtbl.create 32 in
-      let count = ref 0 in
-      let rev_tasks = ref [] in
-      List.iter
-        (fun s ->
-          List.iter
-            (fun g ->
-              Hashtbl.replace pos (Session.id s, g) !count;
-              incr count;
-              rev_tasks := (s, g) :: !rev_tasks)
-            (Session.active_groups s))
-        active;
-      let tasks = Array.of_list (List.rev !rev_tasks) in
-      let deps =
-        Array.map
-          (fun (s, g) ->
-            List.filter_map
-              (fun p -> Hashtbl.find_opt pos (Session.id s, p))
-              (Compile.group_preds d.d_plan g))
-          tasks
-      in
-      (match tasks with
-      | [||] -> ()
-      | _ ->
-        d.d_in_parallel := true;
-        Fun.protect
-          ~finally:(fun () -> d.d_in_parallel := false)
-          (fun () ->
-            Pool.run_dag ~seed:(seed + i) pool ~deps
-              (Array.map
-                 (fun (s, g) w ->
-                   Session.run_group s g ~dstats:d.d_domain_stats.(w))
-                 tasks)));
-      let next = ref [] in
-      List.iter
-        (fun s ->
-          Session.flush_groups s
-            ~fire:(fun source ->
-              Session.mark_pending s;
-              let fresh = not (Session.has_wakes s) in
-              Session.wake_push s source;
-              if fresh then next := s :: !next)
-            ~delay:(fun ~node ~slot ~seconds v ->
-              schedule_delay s ~node ~slot ~seconds v))
-        active;
-      sweep i (List.rev !next)
+      let xs = List.map admit_all runnable in
+      d.d_in_parallel := true;
+      Fun.protect
+        ~finally:(fun () -> d.d_in_parallel := false)
+        (fun () ->
+          Exec.run ~pool ~seed:(seed + i) ~dstats:d.d_domain_stats xs);
+      List.iter Exec.flush xs;
+      sweep i (deal_ready d)
   in
   sweep 0 (deal_ready d);
   !dispatched

@@ -109,16 +109,17 @@ val drain_parallel : ?seed:int -> 'a t -> int
 
 val drain_intra : ?seed:int -> 'a t -> int
 (** Drain with {e intra-session} parallelism: each sweep admits every
-    queued wake coordinator-side ({!Session.admit} — epochs and dispatch
-    billing are assigned before anything runs), then executes one pool
-    task per (session, active region group) under the plan's group DAG
-    ({!Pool.run_dag}; edges only between groups of the same session), then
-    flushes each session's buffered async/delay re-entries in (admission
-    epoch, group) order. Delays are delivered only at global quiescence,
-    as in the other drains. Per-session change traces and counter totals
-    are bit-identical to {!drain} without a pool, for every [seed] and
-    domain count. Raises [Invalid_argument] if the dispatcher has no
-    pool. *)
+    queued wake into its session's group executor ({!Elm_core.Exec.admit} via
+    {!Session.exec} — epochs and dispatch billing are assigned before
+    anything runs), then executes one pool task per (session, active
+    region group) under the plan's group DAG ({!Elm_core.Exec.run}; edges only
+    between groups of the same session), then flushes each session
+    ({!Elm_core.Exec.flush}): buffered async/delay re-entries go back onto the
+    ready queue and delay heap in (admission epoch, group) order. Delays
+    are delivered only at global quiescence, as in the other drains.
+    Per-session change traces and counter totals are bit-identical to
+    {!drain} without a pool, for every [seed] and domain count. Raises
+    [Invalid_argument] if the dispatcher has no pool. *)
 
 (** {1 Live upgrade} *)
 

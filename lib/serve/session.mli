@@ -18,6 +18,7 @@ module Signal = Elm_core.Signal
 module Stats = Elm_core.Stats
 module Trace = Elm_core.Trace
 module Compile = Elm_core.Compile
+module Exec = Elm_core.Exec
 module Runtime = Elm_core.Runtime
 module Upgrade = Elm_core.Upgrade
 
@@ -81,6 +82,8 @@ val changes : 'a t -> (int * 'a) list
 
 val stats : 'a t -> Stats.t
 val epoch : 'a t -> int
+(** The session-local epoch: the number of events begun ([events] in
+    {!stats}). *)
 
 val pending : 'a t -> int
 (** Events routed to this session and not yet stepped. *)
@@ -118,8 +121,9 @@ val offer : 'a t -> 'i Signal.t -> 'i -> bool
     matching ready-queue entry {e after} a [true] return. *)
 
 val step : 'a t -> source:int -> unit
-(** Run one routed event to completion: bump the session-local epoch and
-    sweep the plan's regions (wake test per region) in topological order.
+(** Run one routed event to completion ({!Exec.step}): bump the
+    session-local epoch and sweep the regions the plan's wake table lists
+    for the source, in topological order, directly (nothing is buffered).
     Settles the per-session elision invariant
     [messages + elided = nodes * events]. *)
 
@@ -131,9 +135,9 @@ val mark_pending : 'a t -> unit
 val mark_pending_delay : 'a t -> unit
 
 val drop_pending : 'a t -> unit
-(** A routed event discarded across an upgrade (its source node was
-    detached): the matching future [step] will never run, so the pending
-    counter comes down here. *)
+(** A routed event that will never reach [step]: discarded across an
+    upgrade (its source node was detached), or admitted into the group
+    executor by the intra drain. The pending counter comes down here. *)
 
 val drop_pending_delay : 'a t -> unit
 (** Likewise for a discarded delay-heap entry. *)
@@ -164,42 +168,15 @@ val wake_pop : 'a t -> int option
 
 val has_wakes : 'a t -> bool
 
-(** {2 Intra-session parallel stepping}
+(** {2 Intra-session parallel stepping} *)
 
-    The dispatcher's [intra] mode splits one session's work by region
-    {e group} (the plan's SCC-condensed region dependency DAG,
-    {!Compile.group_deps}) so data-independent groups of one round can run
-    on different pool domains. Protocol per round: the coordinator
-    {!admit}s every queued wake (assigning epochs and settling the
-    deterministic per-event counters), schedules one task per
-    {!active_groups} entry under the plan's group-DAG edges
-    ({!Compile.group_preds}), each task calls {!run_group}, and after the
-    barrier the coordinator calls {!flush_groups} to apply buffered
-    async/delay re-entries in (admission epoch, group) order and merge the
-    scratch counters — totals and change traces are bit-identical to
-    {!step}ping the same wakes sequentially. *)
-
-val admit : 'a t -> source:int -> unit
-(** Coordinator-side admission of one routed wake: bump the session epoch,
-    bill events/notified/region_steps/elided and the tracer dispatch row,
-    and queue the round on each woken region's group. Closed sessions
-    consume the wake without effect, as {!step} does. *)
-
-val active_groups : 'a t -> int list
-(** Groups with admitted, not-yet-run rounds, ascending. *)
-
-val run_group : 'a t -> int -> dstats:Stats.t -> unit
-(** Run every admitted round of one group (pool-task side): member regions
-    in index order per round, value-dependent counters billed to the
-    group's scratch, boundary effects buffered. The delta is also added to
-    [dstats] — the caller's per-worker attribution slot. *)
-
-val flush_groups :
-  'a t ->
-  fire:(int -> unit) ->
-  delay:(node:int -> slot:int -> seconds:float -> Obj.t -> unit) ->
-  unit
-(** Coordinator-side: apply the buffered effects of every group in
-    (admission epoch, group index) order — [fire source] for async
-    re-entries, [delay] for heap scheduling — and merge each group's
-    scratch delta into {!stats}. *)
+val exec : 'a t -> Exec.t
+(** The session's group executor, built on first use and again after an
+    {!upgrade}. The dispatcher's [intra] mode admits routed wakes into it
+    ({!Exec.admit}, paired with {!drop_pending}), runs the active region
+    groups of all runnable sessions as one (session, group) task DAG
+    ({!Exec.run}), and flushes each session ({!Exec.flush}): buffered
+    async fires and delays go out through the session's {!env}, displays
+    reach its change history, and the scratch counters merge into
+    {!stats} — totals and change traces are bit-identical to {!step}ping
+    the same wakes. *)

@@ -254,14 +254,16 @@ let test_wake_table_matches_reach () =
       [ false; true ]
   done
 
-(* A traced session bills each dispatch at its source's cone size from the
-   wake table, and tracing changes none of the counters — through both the
-   sequential step path and the intra-session admit path, on the async and
-   delay shapes (so re-entries are dispatched too). *)
+(* A traced executor bills each dispatch at its source's cone size from
+   the wake table, and tracing changes none of the counters — through the
+   session's sequential step path and intra-session admit path, and the
+   compiled runtime's threaded region dispatcher and its [~domains:1] wave
+   coordinator, on the async and delay shapes (so re-entries are
+   dispatched too). *)
 let test_traced_session_counters () =
   let events = [ (true, 1); (false, 2); (true, 3); (false, 4); (false, 5) ] in
   let pool = Pool.create ~domains:2 () in
-  let run shape ~intra tracer =
+  let serve shape ~intra tracer =
     let a, b, root = Gen_graph.build_shape shape in
     let d =
       Dispatcher.create ?tracer ~fuse:false
@@ -275,12 +277,44 @@ let test_traced_session_counters () =
     ignore (Dispatcher.drain d);
     (Dispatcher.plan d, Session.stats s)
   in
+  let runtime shape ?domains tracer =
+    let plan = ref None in
+    let rt =
+      Gen_graph.with_world (fun () ->
+          let a, b, root = Gen_graph.build_shape shape in
+          plan := Some (Compile.plan_of root);
+          let rt =
+            Runtime.start ~backend:Runtime.Compiled ~fuse:false ?tracer
+              ?domains root
+          in
+          List.iter
+            (fun (left, v) -> Runtime.inject rt (if left then a else b) v)
+            events;
+          rt)
+    in
+    Runtime.stop rt;
+    (Option.get !plan, Runtime.stats rt)
+  in
   List.iter
-    (fun (shape, intra) ->
-      let where = Printf.sprintf "shape %d intra=%b" shape intra in
+    (fun (shape, path) ->
+      let run =
+        match path with
+        | `Step -> serve shape ~intra:false
+        | `Intra -> serve shape ~intra:true
+        | `Threaded -> runtime shape ?domains:None
+        | `Wave -> runtime shape ~domains:1
+      in
+      let where =
+        Printf.sprintf "shape %d %s" shape
+          (match path with
+          | `Step -> "step"
+          | `Intra -> "intra"
+          | `Threaded -> "threaded runtime"
+          | `Wave -> "domains:1 runtime")
+      in
       let tracer = Trace.create () in
-      let plan, traced = run shape ~intra (Some tracer) in
-      let _, untraced = run shape ~intra None in
+      let plan, traced = run (Some tracer) in
+      let _, untraced = run None in
       let dispatches =
         List.filter
           (fun r -> r.Trace.kind = Trace.Dispatch)
@@ -288,7 +322,7 @@ let test_traced_session_counters () =
       in
       check_int (where ^ ": one dispatch per event") traced.Stats.events
         (List.length dispatches);
-      (* session 0: trace ids carry no offset *)
+      (* session 0 and runtimes: trace ids carry no offset *)
       List.iter
         (fun r ->
           check_int (where ^ ": dispatch targets = wake cone")
@@ -305,7 +339,10 @@ let test_traced_session_counters () =
           ("notified", fun st -> st.Stats.notified_nodes);
           ("region_steps", fun st -> st.Stats.region_steps);
         ])
-    [ (10, false); (11, false); (10, true); (11, true) ];
+    (List.concat_map
+       (fun shape ->
+         List.map (fun path -> (shape, path)) [ `Step; `Intra; `Threaded; `Wave ])
+       [ 10; 11 ]);
   Pool.close pool
 
 (* ------------------------------------------------------------------ *)

@@ -117,6 +117,42 @@ let test_owned_pool_roundtrip () =
       (owned = inline)
   done
 
+(* [?domains]/[?pool] with an option the wave coordinator does not
+   support is refused with an error naming that option, never silently
+   run on the threaded dispatcher. *)
+let refused_with ~expect start =
+  let msg =
+    Gen_graph.with_world (fun () ->
+        let a = Signal.input ~name:"a" 0 in
+        try
+          ignore (start (Signal.lift succ a));
+          "accepted"
+        with Invalid_argument m -> m)
+  in
+  Alcotest.(check string)
+    "refused, naming the option"
+    ("Runtime.start: ?domains/?pool " ^ expect)
+    msg
+
+let test_refuse_pipelined () =
+  refused_with ~expect:"needs ~backend:Compiled" (fun root ->
+      Runtime.start ~backend:Runtime.Pipelined ~domains:1 root)
+
+let test_refuse_memoize_false () =
+  refused_with ~expect:"conflicts with ~memoize:false" (fun root ->
+      Runtime.start ~backend:Runtime.Compiled ~memoize:false
+        ~pool:(pool_of 2) root)
+
+let test_refuse_mutate () =
+  refused_with ~expect:"conflicts with ?mutate" (fun root ->
+      Runtime.start ~backend:Runtime.Compiled
+        ~mutate:(Runtime.Drop_no_change 1) ~domains:2 root)
+
+let test_refuse_queue_capacity () =
+  refused_with ~expect:"conflicts with ?queue_capacity" (fun root ->
+      Runtime.start ~backend:Runtime.Compiled ~queue_capacity:4 ~domains:1
+        root)
+
 (* ------------------------------------------------------------------ *)
 (* Pool.run_dag scheduling contract *)
 
@@ -310,6 +346,14 @@ let () =
           qc prop_wave_matches_sequential;
           tc "owned pool round-trip (~domains:2)" `Quick
             test_owned_pool_roundtrip;
+        ] );
+      ( "refused",
+        [
+          tc "?domains with ~backend:Pipelined" `Quick test_refuse_pipelined;
+          tc "?pool with ~memoize:false" `Quick test_refuse_memoize_false;
+          tc "?domains with ?mutate" `Quick test_refuse_mutate;
+          tc "?domains with ?queue_capacity" `Quick
+            test_refuse_queue_capacity;
         ] );
       ( "run_dag",
         [

@@ -9,6 +9,9 @@ module Event = Elm_core.Event
 module Stats = Elm_core.Stats
 module Mailbox = Cml.Mailbox
 module Http = Elm_std.Http
+module Pool = Elm_core.Pool
+module Dispatcher = Elm_serve.Dispatcher
+module Session = Elm_serve.Session
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -639,6 +642,96 @@ let test_empty_lift_list_is_constant () =
   check_bool "constant-like node participates" true
     (List.map snd (Runtime.changes rt) = [ 43 ])
 
+(* Supervision across every executor of a compiled plan and the pipelined
+   oracle: a foldp that crashes on 99 joined with a lift that crashes on
+   positive multiples of 3, under Isolate and two Restart budgets. The
+   change values and the failure/restart counts must agree on all seven:
+   budgets are per node, so Restart 1 restarts each node once and
+   Restart 5 covers every crash. *)
+let supervised_graph () =
+  let a = Signal.input ~name:"a" 0 in
+  let b = Signal.input ~name:"b" 0 in
+  let acc =
+    Signal.foldp
+      (fun x acc -> if x = 99 then raise Node_crashed else acc + x)
+      0 a
+  in
+  let lb =
+    Signal.lift
+      (fun y -> if y > 0 && y mod 3 = 0 then raise Node_crashed else y)
+      b
+  in
+  (a, b, Signal.lift2 (fun f g -> (f * 1000) + (g * 10)) acc lb)
+
+let supervised_events =
+  [
+    (true, 1); (false, 1); (true, 99); (true, 2); (false, 3); (false, 4);
+    (false, 6); (true, 99); (false, 9); (true, 5);
+  ]
+
+let run_supervised_runtime ?backend ?domains ?pool policy =
+  let rt =
+    with_world (fun () ->
+        let a, b, root = supervised_graph () in
+        let rt =
+          Runtime.start ?backend ?domains ?pool ~fuse:false
+            ~on_node_error:policy root
+        in
+        List.iter
+          (fun (left, v) -> Runtime.inject rt (if left then a else b) v)
+          supervised_events;
+        rt)
+  in
+  Runtime.stop rt;
+  let st = Runtime.stats rt in
+  ( List.map snd (Runtime.changes rt),
+    st.Stats.node_failures,
+    st.Stats.node_restarts )
+
+let run_supervised_serve ?pool ?(intra = false) policy =
+  let a, b, root = supervised_graph () in
+  let d = Dispatcher.create ~fuse:false ~on_node_error:policy ?pool ~intra root in
+  let s = Dispatcher.open_session d in
+  List.iter
+    (fun (left, v) -> Dispatcher.inject d s (if left then a else b) v)
+    supervised_events;
+  ignore (Dispatcher.drain d);
+  let st = Session.stats s in
+  ( List.map snd (Session.changes s),
+    st.Stats.node_failures,
+    st.Stats.node_restarts )
+
+let test_supervision_all_executors () =
+  let pool = Pool.create ~domains:2 () in
+  let executors =
+    [
+      ("pipelined", fun p -> run_supervised_runtime p);
+      ( "compiled threaded",
+        fun p -> run_supervised_runtime ~backend:Runtime.Compiled p );
+      ( "compiled domains:1",
+        fun p -> run_supervised_runtime ~backend:Runtime.Compiled ~domains:1 p );
+      ( "compiled 2-domain pool",
+        fun p -> run_supervised_runtime ~backend:Runtime.Compiled ~pool p );
+      ("serve sequential", fun p -> run_supervised_serve p);
+      ("serve pool", fun p -> run_supervised_serve ~pool p);
+      ("serve intra", fun p -> run_supervised_serve ~pool ~intra:true p);
+    ]
+  in
+  List.iter
+    (fun (policy, name, expected) ->
+      List.iter
+        (fun (exec, run) ->
+          Alcotest.(check (triple (list int) int int))
+            (Printf.sprintf "%s under %s" exec name)
+            expected (run policy))
+        executors)
+    [
+      (Runtime.Isolate, "Isolate", ([ 1000; 1010; 3010; 3040; 8040 ], 5, 0));
+      (Runtime.Restart 1, "Restart 1", ([ 1000; 1010; 2010; 2040; 7040 ], 5, 2));
+      (Runtime.Restart 5, "Restart 5", ([ 1000; 1010; 2010; 2040; 5040 ], 5, 5));
+    ];
+  Pool.close pool
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "robustness"
@@ -663,6 +756,7 @@ let () =
           tc "restart budget degrades" `Quick
             test_restart_budget_degrades_to_isolate;
           tc "propagate still default" `Quick test_propagate_still_default;
+          tc "all seven executors agree" `Quick test_supervision_all_executors;
           QCheck_alcotest.to_alcotest prop_restart_budget_exact_under_all_policies;
           QCheck_alcotest.to_alcotest prop_zero_fault_supervised_bit_identical;
         ] );
