@@ -101,6 +101,5 @@ if [ "$quick" -eq 1 ]; then
 fi
 
 dune exec bench/main.exe -- --smoke --json
-dune exec bench/main.exe -- --b20-smoke
 bin/perfbench_smoke.sh
 dune exec bench/diff.exe -- bench/baseline.json BENCH_core.json

@@ -247,11 +247,14 @@ let run_cmd =
              only): batch queued events into waves and run each wave's \
              data-independent region groups on a pool of $(docv) OCaml \
              domains, respecting the plan's region dependency DAG. \
-             Displayed values and virtual times are bit-identical to the \
-             sequential dispatcher for every $(docv). $(b,--domains=1) \
-             runs the wave coordinator without a pool (the sequential \
-             wave baseline). Combining it with $(b,--backend=pipelined) \
-             or $(b,--queue-capacity) is an error.")
+             Displayed values and virtual times are identical for every \
+             $(docv) to those of $(b,--domains=1), which runs the wave \
+             coordinator without a pool (the sequential wave baseline). \
+             They can differ from the default threaded dispatcher's: a \
+             wave's displays are stamped at its flush, so a costly async \
+             branch delays the displays that share its wave. Combining it \
+             with $(b,--backend=pipelined) or $(b,--queue-capacity) is an \
+             error.")
   in
   let run file replay trace_out sequential print_stats no_fuse backend policy
       capacity sched_seed sched_pct domains =

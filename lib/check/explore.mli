@@ -189,7 +189,7 @@ val upgrade_program :
 
 val run_upgrade :
   ?fuse:bool ->
-  ?mutate:Elm_core.Runtime.mutation ->
+  ?mutate:Elm_core.Upgrade.mutation ->
   ?domains:int ->
   'a uprogram ->
   report
@@ -204,6 +204,6 @@ val run_upgrade :
     re-created on upgrade (the {!Elm_core.Compile.clone_arena}
     approximation), so only unfused plans promise bit-identical traces.
     [mutate] plants an upgrade bug on every upgrade
-    ({!Elm_core.Runtime.mutation}, occurrence counted per dispatcher);
+    ({!Elm_core.Upgrade.mutation}, occurrence counted per dispatcher);
     [domains] drains through a worker pool of that size. Violations carry
     [[k; style]] (style [1] = quiescent) in [v_decisions]. *)

@@ -1,9 +1,9 @@
 module Runtime = Elm_core.Runtime
 module Signal = Elm_core.Signal
 
-type planted = {
+type 'spec planted = {
   name : string;
-  spec : Runtime.mutation;
+  spec : 'spec;
 }
 
 (* Occurrence indices land each fault mid-run: past the first event (so
@@ -70,9 +70,9 @@ let all_caught ?backend ?schedules ?seed () =
 
 let upgrade_all =
   [
-    { name = "stale-slot-map"; spec = Runtime.Stale_slot_map 1 };
-    { name = "skip-migration"; spec = Runtime.Skip_migration 1 };
-    { name = "leak-seam-mailbox"; spec = Runtime.Leak_seam_mailbox 1 };
+    { name = "stale-slot-map"; spec = Elm_core.Upgrade.Stale_slot_map 1 };
+    { name = "skip-migration"; spec = Elm_core.Upgrade.Skip_migration 1 };
+    { name = "leak-seam-mailbox"; spec = Elm_core.Upgrade.Leak_seam_mailbox 1 };
   ]
 
 (* All-int slots on purpose: the stale-map mutation rotates live values
@@ -136,7 +136,7 @@ let upgrade_catches ?domains () =
     (fun planted ->
       let victim =
         match planted.spec with
-        | Runtime.Skip_migration _ -> migration_victim ()
+        | Elm_core.Upgrade.Skip_migration _ -> migration_victim ()
         | _ -> upgrade_victim ()
       in
       (planted, Explore.run_upgrade ?domains ~mutate:planted.spec victim))

@@ -7,12 +7,15 @@
     reports violations. CI runs {!all_caught} in smoke mode; a silent
     checker regression therefore fails the build. *)
 
-type planted = {
+type 'spec planted = {
   name : string;
-  spec : Elm_core.Runtime.mutation;
+  spec : 'spec;
+      (** A {!Elm_core.Runtime.mutation} ({!all}) or an
+          {!Elm_core.Upgrade.mutation} ({!upgrade_all}): each seam takes
+          only its own kind. *)
 }
 
-val all : planted list
+val all : Elm_core.Runtime.mutation planted list
 (** The three planted ordering bugs, with occurrence indices tuned to land
     mid-run in {!victim}. *)
 
@@ -27,7 +30,7 @@ val catches :
   ?schedules:int ->
   ?seed:int ->
   unit ->
-  (planted * Explore.report) list
+  (Elm_core.Runtime.mutation planted * Explore.report) list
 (** Explore {!victim} once per planted mutation (default [4] schedules per
     mutation, plus the reference run that usually already trips).
     [backend] selects the runtime backend under test — the compiled
@@ -42,12 +45,12 @@ val all_caught :
 (** {1 Upgrade mutations}
 
     The same story for the live-upgrade path: each
-    {!Elm_core.Runtime.mutation} upgrade bug — a rotated slot map, a
+    {!Elm_core.Upgrade.mutation} upgrade bug — a rotated slot map, a
     skipped state migration, a leaked seam mailbox — is planted into
     {!Explore.run_upgrade}'s upgrade-point sweep over a known-equivalent
     replacement, and the replay-differential oracle must flag it. *)
 
-val upgrade_all : planted list
+val upgrade_all : Elm_core.Upgrade.mutation planted list
 (** The three planted upgrade bugs, occurrence [1] (each sweep run
     performs exactly one upgrade per dispatcher). *)
 
@@ -63,7 +66,8 @@ val migration_victim : unit -> int Explore.uprogram
     [Skip_migration] drops it. *)
 
 val upgrade_catches :
-  ?domains:int -> unit -> (planted * Explore.report) list
+  ?domains:int -> unit ->
+  (Elm_core.Upgrade.mutation planted * Explore.report) list
 (** Run the upgrade-point sweep once per planted upgrade bug
     ({!migration_victim} for [Skip_migration], {!upgrade_victim}
     otherwise). *)

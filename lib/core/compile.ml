@@ -47,8 +47,8 @@
 
    [No_change] becomes a per-node dirty-bit test ([stamp = epoch]) instead
    of a message, and fan-out/merge become plain sequential reads. Only two
-   kinds of real channel traffic survive in the runtime instantiation: the
-   dispatcher's region wakeups and the root's display messages.
+   kinds of real channel traffic survive in the runtime's threaded region
+   dispatcher: the region wakeups and the root's display messages.
 
    Topological order within a region is inherited from [Signal.reachable]
    (the same deterministic deps-first DFS the pipelined build uses), so a
@@ -57,13 +57,12 @@
    their freshly-written slots. Async taps are ordered right after their
    inner node's op via a secondary sort key, never before it.
 
-   The module deliberately does not depend on [Runtime]; the runtime passes
-   its accounting, supervision, and event-registration hooks in a [config],
-   so mutations (Check.Mutate) and supervision policies behave identically
-   in both backends. *)
-
-module Mailbox = Cml.Mailbox
-module Multicast = Cml.Multicast
+   The module is pure: it builds plans and runs ops, and spawns no thread
+   and creates no channel. Every driver ([Exec], and through it the
+   runtime and the serving layer) passes its accounting, supervision and
+   event-registration hooks in the [exec] record, so mutations
+   (Check.Mutate) and supervision policies behave identically in every
+   backend. *)
 
 (* One dispatcher round. [Runtime.round] re-exports this type; it lives here
    so region wakeup mailboxes and node wakeup mailboxes are interchangeable
@@ -119,7 +118,7 @@ type exec = {
   x_arena : arena;
   x_flood : bool;  (* flood dispatch: every node active every round *)
   x_stats : Stats.t;
-  x_guards : guarded array;  (* per slot; see {!config.cfg_guards} *)
+  x_guards : guarded array;  (* per slot; see [Exec.guards] *)
   x_account :
     node:int -> epoch:int -> changed:bool -> real:bool -> int option;
   mutable x_root_stamp : int option;
@@ -1221,158 +1220,3 @@ let to_dot ?(label = "signal graph (compiled regions)") root =
     nodes;
   pr "}\n";
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Runtime instantiation (threads + mailboxes) *)
-
-type config = {
-  cfg_gen : int;  (* runtime generation stamping the input insts *)
-  cfg_flood : bool;  (* flood dispatch: every node active every round *)
-  cfg_stats : Stats.t;
-  cfg_tracer : Trace.t option;
-  cfg_capacity : int option;  (* region wake / input value mailbox bound *)
-  cfg_account :
-    node:int -> epoch:int -> changed:bool -> real:bool -> int option;
-      (* Per-node emission accounting (the runtime's [emit] minus the
-         channel send): mutation hooks, observer, message/elided counters.
-         Returns the epoch actually stamped, [None] if the emission was
-         swallowed by a mutation. [real] marks the one emission per round
-         that still leaves the region as a channel message (the root's). *)
-  cfg_guards : plan -> guarded array;  (* per-slot supervisors *)
-  cfg_fire_async : int -> unit;  (* async/delay: register a global event *)
-  cfg_notify : int -> unit;  (* input push: register a global event *)
-}
-
-type runtime_region = {
-  rr_region : region;
-  rr_wake : round Mailbox.t;
-}
-
-type 'a instance = {
-  i_plan : plan;
-  i_arena : arena;
-  i_regions : runtime_region list;
-  i_out : 'a Event.stamped Multicast.t;  (* the root's display channel *)
-  i_sources : (int * string) list;  (* runtime sources, topological order *)
-}
-
-let instantiate : type r. config -> r Signal.t -> r instance =
- fun cfg root ->
-  let pl = plan_of root in
-  let arena = new_arena pl in
-  let stats = cfg.cfg_stats in
-  let out : r Event.stamped Multicast.t =
-    Multicast.create
-      ~name:(Printf.sprintf "out:%d:%s" pl.p_root_id (Signal.name root))
-      ()
-  in
-  (* One pending-value mailbox per source slot; the op templates reach them
-     through [x_pop]/[x_push] so the same plan drives mailbox-backed
-     runtimes and queue-backed sessions alike. *)
-  let value_mbs : Obj.t Mailbox.t option array = Array.make (max pl.p_nodes 1) None in
-  List.iter
-    (fun (id, sl, bounded) ->
-      value_mbs.(sl) <-
-        Some
-          (Mailbox.create
-             ?capacity:(if bounded then cfg.cfg_capacity else None)
-             ~name:(Printf.sprintf "value:%d:%s" id pl.p_slot_names.(sl))
-             ()))
-    pl.p_queue_slots;
-  let value_mb sl =
-    match value_mbs.(sl) with
-    | Some mb -> mb
-    | None -> invalid_arg "Compile.instantiate: not a source slot"
-  in
-  let x =
-    {
-      x_arena = arena;
-      x_flood = cfg.cfg_flood;
-      x_stats = stats;
-      x_guards = cfg.cfg_guards pl;
-      x_account = cfg.cfg_account;
-      x_root_stamp = None;
-      x_pop = (fun sl -> Mailbox.recv (value_mb sl));
-      x_push = (fun sl v -> Mailbox.send (value_mb sl) v);
-      x_fire_async = cfg.cfg_fire_async;
-      x_delay =
-        (fun ~node ~slot ~seconds v ->
-          Cml.spawn (fun () ->
-              Cml.sleep seconds;
-              Mailbox.send (value_mb slot) v;
-              cfg.cfg_fire_async node));
-      x_display =
-        (fun ~epoch ~changed v ->
-          let event =
-            if changed then Event.Change (Obj.obj v : r)
-            else Event.No_change (Obj.obj v : r)
-          in
-          Multicast.send out { Event.epoch; event });
-    }
-  in
-  (* Wire the input pushes. Value first, notification second, as in the
-     pipelined push: when the dispatcher wakes this source's cone, the
-     region finds the value waiting. The inst's out channel is never read
-     in compiled mode (display traffic flows through the display op); it
-     exists so [Runtime.inject] finds the push through the usual
-     generation-stamped slot. [Obj.repr] happens here, inside the typed
-     scope of the input's [Pack]. *)
-  List.iter
-    (fun (Signal.Pack s) ->
-      let id = Signal.id s in
-      let sl = Hashtbl.find pl.p_slot_of id in
-      let push v =
-        Mailbox.send (value_mb sl) (Obj.repr v);
-        cfg.cfg_notify id
-      in
-      Signal.set_inst s
-        {
-          Signal.gen = cfg.cfg_gen;
-          out =
-            Multicast.create ~name:(Printf.sprintf "in:%d:%s" id (Signal.name s)) ();
-          push = Some push;
-        })
-    pl.p_inputs;
-  (* Spawn each region's step thread: the entire pipelined cone of node
-     wakeups, channel sends and context switches collapses to one wake and
-     one array sweep over the shared op templates. *)
-  let rregions =
-    List.map
-      (fun rg ->
-        let wake =
-          Mailbox.create ?capacity:cfg.cfg_capacity
-            ~name:(Printf.sprintf "wake:r%d:%s" rg.rg_rep rg.rg_name)
-            ()
-        in
-        let n = List.length rg.rg_member_ids in
-        (match cfg.cfg_tracer with
-        | None -> ()
-        | Some tr ->
-          (* Only the region is registered — absorbed members would
-             otherwise show stale zero rows in the trace summary. *)
-          Trace.register_node tr ~id:rg.rg_rep
-            ~name:(Printf.sprintf "region:%s(%d)" rg.rg_name n));
-        Cml.spawn (fun () ->
-            let rec loop () =
-              let r = Mailbox.recv wake in
-              (match cfg.cfg_tracer with
-              | None -> ()
-              | Some tr -> Trace.node_start tr ~node:rg.rg_rep ~epoch:r.epoch);
-              stats.Stats.region_steps <- stats.Stats.region_steps + 1;
-              run_region pl x rg.rg_index r;
-              (match cfg.cfg_tracer with
-              | None -> ()
-              | Some tr -> Trace.node_end tr ~node:rg.rg_rep ~epoch:r.epoch);
-              loop ()
-            in
-            loop ());
-        { rr_region = rg; rr_wake = wake })
-      (regions pl)
-  in
-  {
-    i_plan = pl;
-    i_arena = arena;
-    i_regions = rregions;
-    i_out = out;
-    i_sources = pl.p_sources;
-  }

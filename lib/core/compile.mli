@@ -24,14 +24,15 @@
       running instance.
 
     Ops close over slot {e indices}, never over cells, and receive the
-    instance's {!exec} context on every run, so the same plan drives the
-    thread-and-mailbox runtime instantiation below ({!instantiate}) and the
-    synchronous session layer ([Serve]) alike.
+    instance's {!exec} context on every run, so the same plan drives every
+    executor alike: the runtime's threaded region dispatcher and wave
+    coordinator, and the serving layer's sessions, all through [Exec].
 
-    Select it with [Runtime.start ~backend:Compiled]; this module holds the
-    partitioning, the op compiler and the region threads, while the runtime
-    keeps ownership of dispatch, accounting, supervision policy and
-    mutations (threaded in through {!config}). *)
+    Select it with [Runtime.start ~backend:Compiled]. This module is pure:
+    it holds the partitioning, the op compiler and the region runner
+    ({!run_region}), and spawns no thread and creates no channel. Threads,
+    mailboxes, dispatch, accounting, supervision policy and mutations
+    belong to the drivers, which pass them in through {!exec}. *)
 
 type round = {
   epoch : int;
@@ -266,7 +267,11 @@ type exec = {
   x_guards : guarded array;  (** Per slot. *)
   x_account :
     node:int -> epoch:int -> changed:bool -> real:bool -> int option;
-      (** Per-node emission accounting (see {!config.cfg_account}). *)
+      (** Per-node emission accounting: mutation hooks, observer,
+          message/elided counters. Returns the epoch actually stamped, or
+          [None] if a mutation swallowed the emission. [real] marks the
+          root's emission, the only one that still leaves the region as a
+          message. *)
   mutable x_root_stamp : int option;
       (** Bridges the root's account result from its member op to the
           display op that runs right after it in the same region step. *)
@@ -281,9 +286,10 @@ type exec = {
       (** The root's display emission, one per round reaching the root. *)
 }
 (** The per-instance execution context threaded through every op: the arena
-    plus the environment hooks. One record per instance — the runtime binds
-    the hooks to mailboxes and [Cml] threads, [Serve] to plain queues
-    stepped synchronously. *)
+    plus the environment hooks. One record per instance (one per region
+    group under [Exec]'s buffered drivers): the runtime's threaded
+    dispatcher binds the hooks to mailboxes and virtual-clock threads, the
+    wave coordinator and [Serve] to plain queues. *)
 
 val run_region : plan -> exec -> int -> round -> unit
 (** [run_region plan x i r] runs region [i]'s share of round [r], in
@@ -303,53 +309,3 @@ val unguarded : plan -> guarded array
 (** Slot -> the [Propagate] supervisor, which applies the node's function
     unguarded. Stateless, so every instance of the plan shares this one
     array — treat as read-only. *)
-
-(** {1 Runtime instantiation (threads + mailboxes)} *)
-
-type config = {
-  cfg_gen : int;  (** Runtime generation stamping the input insts. *)
-  cfg_flood : bool;  (** Flood dispatch: every node active every round. *)
-  cfg_stats : Stats.t;
-  cfg_tracer : Trace.t option;
-  cfg_capacity : int option;
-      (** Bound for region wake and input value mailboxes. Async/delay
-          value mailboxes stay unbounded: their tap runs on a region
-          thread that may also host the async source itself, so blocking
-          it could deadlock the region. *)
-  cfg_account :
-    node:int -> epoch:int -> changed:bool -> real:bool -> int option;
-      (** Per-node emission accounting — the runtime's [emit] minus the
-          channel send (mutation hooks, observer, message/elided
-          counters). Returns the epoch actually stamped, or [None] if a
-          mutation swallowed the emission. [real] marks the root's
-          emission, the only one that still leaves the region as a
-          channel message. *)
-  cfg_guards : plan -> guarded array;
-      (** Per-slot supervisors for the plan ([Exec.guards]). *)
-  cfg_fire_async : int -> unit;
-      (** Async/delay boundary: register a global event for this source. *)
-  cfg_notify : int -> unit;  (** Input push: register a global event. *)
-}
-
-type runtime_region = {
-  rr_region : region;
-  rr_wake : round Cml.Mailbox.t;
-      (** The region's wakeup mailbox; the dispatcher sends one round per
-          event whose source's {!wake} entry lists the region. *)
-}
-
-type 'a instance = {
-  i_plan : plan;
-  i_arena : arena;
-  i_regions : runtime_region list;
-  i_out : 'a Event.stamped Cml.Multicast.t;
-      (** The root's display channel: the one real data channel left. *)
-  i_sources : (int * string) list;
-      (** Runtime sources (id, name), topological order. *)
-}
-
-val instantiate : config -> 'a Signal.t -> 'a instance
-(** Fetch (or build) the cached plan, allocate a fresh arena, and spawn one
-    step thread per region, each looping [recv wake; run_region]. Input
-    nodes get generation-stamped push insts so [Runtime.inject] finds them.
-    Must be called inside [Cml.run]. *)

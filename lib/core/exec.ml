@@ -1,5 +1,6 @@
-(* The group executor shared by every buffered driver of a compiled plan
-   (the runtime's wave coordinator, the serving layer's intra drain). Why
+(* The group executor shared by every driver of a compiled plan (the
+   runtime's threaded region dispatcher and wave coordinator, the serving
+   layer's sessions and intra drain). Why
    running a batch group by group and flushing in (epoch, group) order is
    exact is argued in exec.mli and DESIGN.md ("Group executor"). *)
 

@@ -12,12 +12,18 @@
     (admission epoch, group index) order — exactly the sequence a
     one-event-at-a-time sweep would have produced.
 
-    Two drivers use it: the runtime's wave coordinator
-    ([Runtime.start ~domains]/[~pool]: a Cml thread on the virtual clock)
-    and the serving layer's intra-session drain (one executor per session,
-    all run as one (session, group) task DAG). {!step} is the direct,
-    unbuffered path over the same round bookkeeping and region runner,
-    which [Serve.Session.step] uses. *)
+    Two drivers buffer through it: the runtime's wave coordinator
+    ([Runtime.start ~domains]/[~pool]: one thread on the virtual clock) and
+    the serving layer's intra-session drain (one executor per session, all
+    run as one (session, group) task DAG). {!step} is the direct,
+    unbuffered path over the same round start ({!begin_round}) and region
+    runner ({!run_region}), which [Serve.Session.step] uses. The runtime's
+    threaded region dispatcher ([Runtime.start ~backend:Compiled] without
+    [?domains]/[?pool]) calls those two functions itself: the dispatcher
+    starts each round, and each region's own thread runs its share, so a
+    region that spends virtual time blocks only its own thread.
+
+    The module is pure: it spawns no thread and creates no channel. *)
 
 (** {1 Supervision} *)
 
@@ -34,7 +40,8 @@
 type error_policy =
   | Propagate
       (** Seed behaviour (default): the exception unwinds the node thread
-          and surfaces out of {!Cml.run}, tearing the session down. *)
+          and surfaces out of the scheduler's run, tearing the session
+          down. *)
   | Isolate
       (** Catch the exception, emit [No_change last-good], keep the node's
           state (accumulator, composite step) as it was, and keep going. *)
@@ -81,6 +88,28 @@ val register_regions :
 (** One trace row per region, named [label ^ "region:<rep>(<members>)"] at
     [offset + rep]: the rows {!step} and {!run} record spans on. *)
 
+val begin_round :
+  Compile.plan ->
+  Stats.t ->
+  Trace.t option ->
+  offset:int ->
+  flood:int array option ->
+  source:int ->
+  Compile.round * int array
+(** Start the next event of [source]: bump [events] (the new count is the
+    round's epoch), bill [notified_nodes] (woken regions) and
+    [elided_messages] (nodes outside the cone), and record the trace's
+    [Dispatch] row at the cone size ([node_count] under flood). Returns
+    the round and the woken region indices, ascending: the plan's wake
+    entry, or [flood] itself, which is [Some] of every region index under
+    flood dispatch. *)
+
+val run_region :
+  Compile.plan -> Compile.exec -> Trace.t option -> offset:int -> int ->
+  Compile.round -> unit
+(** Run one region's share of a round ({!Compile.run_region}) between its
+    trace spans, billing one [region_steps] to the exec's stats. *)
+
 val step :
   Compile.plan ->
   Compile.exec ->
@@ -93,8 +122,8 @@ val step :
     bump. It bills [events], [notified_nodes] (woken regions) and
     [elided_messages] (nodes outside the cone), and records the trace's
     [Dispatch] row at the cone size ([node_count] under flood), exactly as
-    {!admit} does. Then it runs the woken regions in index (= topological)
-    order, each between its trace spans and billing one [region_steps]. *)
+    {!admit} does ({!begin_round}). Then it runs the woken regions in
+    index (= topological) order through {!run_region}. *)
 
 type t
 (** One instance's group executor: plan, totals, and one group record per

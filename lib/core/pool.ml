@@ -80,10 +80,26 @@ type t = {
   mutable p_closing : bool;
   mutable p_running : bool;
   p_error : exn option Atomic.t;  (* first task exception, re-raised by run *)
-  p_tasks : int array;  (* per-worker lifetime counters, owner-written *)
-  p_steals : int array;
-  p_idle_probes : int array;
+  p_counts : int array;
+      (* per-worker lifetime counters, owner-written: worker [w]'s
+         tasks/steals/idle probes at [w * stride + tasks_k/steals_k/idle_k] *)
 }
+
+(* Each worker's counters sit [stride] words (128 bytes on 64-bit) past
+   the previous worker's, so per-task writes never share a cache line, or
+   an adjacent-line prefetch pair, with another worker's. *)
+let stride = 16
+let tasks_k = 0
+let steals_k = 1
+let idle_k = 2
+
+(* Bill one count to worker [w]. Tasks and steals are billed before the
+   task's completion is published on the batch's [remaining] counter, so
+   the caller, released by the last decrement, reads totals that already
+   include every task of the batch. *)
+let bill t w k =
+  let i = (w * stride) + k in
+  t.p_counts.(i) <- t.p_counts.(i) + 1
 
 let domains t = t.p_domains
 
@@ -128,10 +144,9 @@ let record_error t exn =
    when [b.remaining] hits 0 (another worker may still be finishing a
    claimed task). *)
 let work t b w =
-  let tasks = ref 0 and steals = ref 0 and idle = ref 0 in
   let exec f =
     (try f w with exn -> record_error t exn);
-    incr tasks;
+    bill t w tasks_k;
     ignore (Atomic.fetch_and_add b.remaining (-1))
   in
   let rec own () =
@@ -145,20 +160,17 @@ let work t b w =
       let v = b.order.(w).(i) in
       match take b.queues b.cursors v with
       | Some f ->
-        incr steals;
+        bill t w steals_k;
         exec f;
         (* after a successful steal, the victim may have more: restart the
            probe sweep from our own (now surely empty) queue's victims *)
         steal 0
       | None ->
-        incr idle;
+        bill t w idle_k;
         steal (i + 1)
     end
   in
-  own ();
-  t.p_tasks.(w) <- t.p_tasks.(w) + !tasks;
-  t.p_steals.(w) <- t.p_steals.(w) + !steals;
-  t.p_idle_probes.(w) <- t.p_idle_probes.(w) + !idle
+  own ()
 
 (* Run DAG batch [d] as worker [w]: pop a ready task, run it, release the
    dependents whose last predecessor it was, until every task finished.
@@ -166,7 +178,6 @@ let work t b w =
    worker must keep probing until [d_remaining] hits zero, because a task
    still running elsewhere may be about to unblock more work. *)
 let dag_work t d w =
-  let tasks = ref 0 and idle = ref 0 in
   let rec loop () =
     if Atomic.get d.d_remaining > 0 then begin
       Mutex.lock d.d_lock;
@@ -174,11 +185,11 @@ let dag_work t d w =
       Mutex.unlock d.d_lock;
       (match next with
       | None ->
-        incr idle;
+        bill t w idle_k;
         Domain.cpu_relax ()
       | Some i ->
         (try d.d_tasks.(i) w with exn -> record_error t exn);
-        incr tasks;
+        bill t w tasks_k;
         (* A failed task still releases its dependents: the first error is
            already captured, and running the rest keeps the barrier (and
            the unmet-count accounting) trivially correct. *)
@@ -194,9 +205,7 @@ let dag_work t d w =
       loop ()
     end
   in
-  loop ();
-  t.p_tasks.(w) <- t.p_tasks.(w) + !tasks;
-  t.p_idle_probes.(w) <- t.p_idle_probes.(w) + !idle
+  loop ()
 
 (* Body of a spawned worker domain: park until the epoch moves, run the
    published job, repeat; exit when the pool closes. *)
@@ -241,9 +250,7 @@ let create ?domains () =
       p_closing = false;
       p_running = false;
       p_error = Atomic.make None;
-      p_tasks = Array.make n 0;
-      p_steals = Array.make n 0;
-      p_idle_probes = Array.make n 0;
+      p_counts = Array.make (n * stride) 0;
     }
   in
   (* The calling domain is worker 0; spawn the other n-1. They capture
@@ -382,18 +389,13 @@ let run_dag ?(seed = 0) t ~deps tasks =
 
 let worker_stats t =
   Array.init t.p_domains (fun w ->
-      {
-        ws_tasks = t.p_tasks.(w);
-        ws_steals = t.p_steals.(w);
-        ws_idle_probes = t.p_idle_probes.(w);
-      })
+      let c k = t.p_counts.((w * stride) + k) in
+      { ws_tasks = c tasks_k; ws_steals = c steals_k; ws_idle_probes = c idle_k })
 
-let reset_worker_stats t =
-  Array.fill t.p_tasks 0 t.p_domains 0;
-  Array.fill t.p_steals 0 t.p_domains 0;
-  Array.fill t.p_idle_probes 0 t.p_domains 0
+let reset_worker_stats t = Array.fill t.p_counts 0 (Array.length t.p_counts) 0
 
-let total_steals t = Array.fold_left ( + ) 0 t.p_steals
+let total_steals t =
+  Array.fold_left (fun n w -> n + w.ws_steals) 0 (worker_stats t)
 
 let close t =
   if not t.p_closing then begin

@@ -62,7 +62,11 @@ type worker_stats = {
 val worker_stats : t -> worker_stats array
 (** Lifetime per-worker counters (index = worker), summed over batches
     since creation or the last {!reset_worker_stats}. Read between runs —
-    counters are owner-written during a batch. *)
+    counters are owner-written during a batch. Each task and steal is
+    billed before the task's completion is published, so [ws_tasks] and
+    [ws_steals] are exact as soon as {!run}/{!run_dag} returns;
+    [ws_idle_probes] may still grow while a worker notices the batch
+    ended. *)
 
 val reset_worker_stats : t -> unit
 

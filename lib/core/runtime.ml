@@ -42,21 +42,6 @@ type mutation =
   | Reorder_wakeup of int
       (* hold the nth dispatcher wakeup and deliver it after the next round
          bound for the same node: an out-of-order mailbox admit *)
-  (* Upgrade mutations: planted by [Upgrade.diff]/[Dispatcher.upgrade_all]
-     (lib/serve) rather than by the dispatch path below — the runtime's
-     graph is fixed at [start], so these have no effect here beyond
-     occurrence validation. They live in this type so the checker passes
-     one [?mutate] spec through either seam. *)
-  | Stale_slot_map of int
-      (* rotate the nth upgrade's matched-slot mapping by one: values land
-         in the neighbouring slot, as if the remap table were stale *)
-  | Skip_migration of int
-      (* apply the nth upgrade without running user migrations: migrated
-         state keeps its old representation *)
-  | Leak_seam_mailbox of int
-      (* the nth upgrade forgets the sessions' pending-value queues instead
-         of transferring them onto the new slot layout: a leaked seam
-         mailbox whose promised values are gone *)
 
 type mut_state = {
   m_spec : mutation;
@@ -136,51 +121,15 @@ let on_stop f =
   stop_hooks := f :: !stop_hooks;
   Mutex.unlock stop_hooks_lock
 
-(* [id] identifies the emitting node for the tracer's Node_end record; the
-   untraced path is one load and branch, no allocation. The observer (when
-   installed) sees the epoch actually stamped on the wire, so a [Skip_epoch]
-   mutation is visible to the checker even on edges nobody re-validates. *)
-let emit ctx ~id out r msg =
-  let drop =
-    match ctx.c_mutate with
-    | Some ({ m_spec = Drop_no_change n; _ } as m)
-      when not (Event.is_change msg) ->
-      m.m_count <- m.m_count + 1;
-      m.m_count = n
-    | _ -> false
-  in
-  if not drop then begin
-    let epoch =
-      match ctx.c_mutate with
-      | Some ({ m_spec = Skip_epoch n; _ } as m) ->
-        m.m_count <- m.m_count + 1;
-        let stale =
-          match Hashtbl.find_opt m.m_last_stamp id with
-          | Some e -> e
-          | None -> 0
-        in
-        Hashtbl.replace m.m_last_stamp id r.epoch;
-        if m.m_count = n then stale else r.epoch
-      | _ -> r.epoch
-    in
-    ctx.c_stats.messages <- ctx.c_stats.messages + 1;
-    Multicast.send out { Event.epoch; event = msg };
-    (match ctx.c_observer with
-    | None -> ()
-    | Some f -> f ~node:id ~epoch ~changed:(Event.is_change msg));
-    match ctx.c_tracer with
-    | None -> ()
-    | Some tr -> Trace.node_end tr ~node:id ~epoch:r.epoch
-  end
-
-(* The compiled backend's twin of [emit]: same mutation hooks and the same
-   observer visibility, but no channel send — a region member's round
-   result stays in its arena cell. [real] selects which side of the elision
-   invariant the emission lands on: interior members send nothing, so their
-   per-event emissions count as elided; the root's display emission is the
-   one real message a region step still sends. Returns the epoch actually
-   stamped on the (conceptual) wire, or [None] when a [Drop_no_change]
-   mutation swallowed the emission. *)
+(* Per-node emission accounting, shared by both backends: the mutation
+   hooks, the message/elided counters and the observer, which sees the
+   epoch actually stamped on the (conceptual) wire, so a [Skip_epoch]
+   mutation is visible to the checker even on edges nobody re-validates.
+   [real] selects which side of the elision invariant the emission lands
+   on: a pipelined node's message and a compiled region's root display
+   emission are real, a compiled region's interior members send nothing
+   and count as elided. Returns the epoch to stamp, or [None] when a
+   [Drop_no_change] mutation swallowed the emission. *)
 let account ctx ~id ~epoch:ep ~changed ~real =
   let drop =
     match ctx.c_mutate with
@@ -211,6 +160,22 @@ let account ctx ~id ~epoch:ep ~changed ~real =
     | Some f -> f ~node:id ~epoch ~changed);
     Some epoch
   end
+
+(* A pipelined node's emission: account it, then put it on the node's
+   channel (a send never yields, so the observer still sees emissions in
+   send order). [id] identifies the emitting node for the tracer's
+   Node_end record; the untraced path is one load and branch, no
+   allocation. *)
+let emit ctx ~id out r msg =
+  match
+    account ctx ~id ~epoch:r.epoch ~changed:(Event.is_change msg) ~real:true
+  with
+  | None -> ()
+  | Some epoch -> (
+    Multicast.send out { Event.epoch; event = msg };
+    match ctx.c_tracer with
+    | None -> ()
+    | Some tr -> Trace.node_end tr ~node:id ~epoch:r.epoch)
 
 (* Admit one round into a node's wakeup mailbox. With a [Reorder_wakeup]
    mutation armed, the nth admit is parked and released just after the next
@@ -700,6 +665,147 @@ let new_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes ~history ~sources
   }
 
 (* ------------------------------------------------------------------ *)
+(* Compiled-plan drivers. Both run the plan through the group executor
+   ([Exec]) and differ only in how rounds reach it: the threaded region
+   dispatcher hands each round to one thread per region, the wave
+   coordinator batches rounds into buffered waves. *)
+
+(* Wire a compiled plan's input pushes: value first, notification second,
+   as in the pipelined push, so the driver finds the value waiting when it
+   wakes the source's cone. The inst's out channel is never read in
+   compiled mode (display traffic flows through the display op); it exists
+   so [inject] finds the push through the usual generation-stamped slot.
+   [Obj.repr] happens here, inside the typed scope of the input's [Pack]. *)
+let wire_inputs ~gen ~new_event pl push =
+  List.iter
+    (fun (Signal.Pack s) ->
+      let id = Signal.id s in
+      let sl =
+        match Compile.slot_of pl id with Some sl -> sl | None -> assert false
+      in
+      Signal.set_inst s
+        {
+          Signal.gen;
+          out =
+            Multicast.create ~name:(Printf.sprintf "in:%d:%s" id (Signal.name s))
+              ();
+          push =
+            Some
+              (fun v ->
+                push sl (Obj.repr v);
+                Mailbox.send new_event id);
+        })
+    (Compile.inputs pl)
+
+(* The threaded region dispatcher: one Cml thread and wake mailbox per
+   region, each looping [recv; Exec.run_region], over one exec whose hooks
+   are mailboxes (bounded by [?queue_capacity]), the runtime's [account]
+   (mutation hooks and observer), a Cml sleeper per delayed value and the
+   root's display channel. Returns that channel and the dispatcher's
+   per-event step: [Exec.begin_round], then the round goes to each woken
+   region's mailbox through [send_round], so [Reorder_wakeup] can hold a
+   region admit as it holds a node admit. The threads are what give
+   [async] its overlap (Sec. 3.3): a region that spends virtual time
+   blocks only its own thread, where the wave's flush waits for all. *)
+let start_regions (type r) ctx pl (root : r Signal.t) =
+  let stats = ctx.c_stats and tracer = ctx.c_tracer in
+  let out : r Event.stamped Multicast.t =
+    Multicast.create
+      ~name:(Printf.sprintf "out:%d:%s" (Compile.root_id pl) (Signal.name root))
+      ()
+  in
+  let value_mbs : Obj.t Mailbox.t option array =
+    Array.make (max (Compile.node_count pl) 1) None
+  in
+  List.iter
+    (fun (id, sl, bounded) ->
+      value_mbs.(sl) <-
+        Some
+          (Mailbox.create
+             ?capacity:(if bounded then ctx.c_capacity else None)
+             ~name:(Printf.sprintf "value:%d:%s" id (Compile.slot_names pl).(sl))
+             ()))
+    (Compile.queue_slots pl);
+  let value_mb sl =
+    match value_mbs.(sl) with
+    | Some mb -> mb
+    | None -> invalid_arg "Runtime: not a source slot"
+  in
+  let push sl v = Mailbox.send (value_mb sl) v in
+  let fire id =
+    stats.async_events <- stats.async_events + 1;
+    Mailbox.send ctx.c_new_event id
+  in
+  let x =
+    {
+      Compile.x_arena = Compile.new_arena pl;
+      x_flood = ctx.c_dispatch = Flood;
+      x_stats = stats;
+      x_guards = Exec.guards ctx.c_policy ~stats ~tracer ~offset:0 pl;
+      x_account =
+        (fun ~node ~epoch ~changed ~real ->
+          account ctx ~id:node ~epoch ~changed ~real);
+      x_root_stamp = None;
+      x_pop = (fun sl -> Mailbox.recv (value_mb sl));
+      x_push = push;
+      x_fire_async = fire;
+      x_delay =
+        (fun ~node ~slot ~seconds v ->
+          Cml.spawn (fun () ->
+              Cml.sleep seconds;
+              push slot v;
+              fire node));
+      x_display =
+        (fun ~epoch ~changed v ->
+          let v : r = Obj.obj v in
+          Multicast.send out
+            {
+              Event.epoch;
+              event = (if changed then Event.Change v else Event.No_change v);
+            });
+    }
+  in
+  wire_inputs ~gen:ctx.rt_gen ~new_event:ctx.c_new_event pl push;
+  Option.iter (fun tr -> Exec.register_regions tr ~offset:0 ~label:"" pl) tracer;
+  (* Region mailboxes are in region index order, so the woken indices
+     [Exec.begin_round] returns name them directly. *)
+  let wakes =
+    Array.of_list
+      (List.map
+         (fun rg ->
+           let wake =
+             Mailbox.create ?capacity:ctx.c_capacity
+               ~name:
+                 (Printf.sprintf "wake:r%d:%s" rg.Compile.rg_rep
+                    rg.Compile.rg_name)
+               ()
+           in
+           Cml.spawn (fun () ->
+               let rec loop () =
+                 let r = Mailbox.recv wake in
+                 Exec.run_region pl x tracer ~offset:0 rg.Compile.rg_index r;
+                 loop ()
+               in
+               loop ());
+           wake)
+         (Compile.regions pl))
+  in
+  let flood =
+    match ctx.c_dispatch with
+    | Flood -> Some (Array.init (Array.length wakes) Fun.id)
+    | Cone -> None
+  in
+  ( out,
+    fun eid ->
+      let r, regions =
+        Exec.begin_round pl stats tracer ~offset:0 ~flood ~source:eid
+      in
+      for k = 0 to Array.length regions - 1 do
+        send_round ctx
+          (Array.unsafe_get wakes (Array.unsafe_get regions k))
+          r
+      done )
+
 (* Intra-session parallel dispatch (wave mode).
 
    [start ~domains:k] (or [~pool]) on the compiled backend replaces the
@@ -714,33 +820,9 @@ let new_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes ~history ~sources
    here — a fire re-enters through [newEvent], a delay through a Cml
    sleeper on the virtual clock, a display goes to the change log. *)
 
-let start_wave : type r.
-    mode:mode ->
-    dispatch:dispatch ->
-    history:int option ->
-    tracer:Trace.t option ->
-    policy:error_policy ->
-    observer:(node:int -> epoch:int -> changed:bool -> unit) option ->
-    original_nodes:int ->
-    fuse:bool ->
-    pool:Pool.t option ->
-    owned_pool:Pool.t option ->
-    r Signal.t ->
-    r t =
- fun ~mode ~dispatch ~history ~tracer ~policy ~observer ~original_nodes ~fuse
-     ~pool ~owned_pool root ->
-  let pl = Compile.plan_of root in
-  let gen = fresh_generation () in
-  let stats = Stats.create () in
-  let new_event = Mailbox.create ~name:"newEvent" () in
-  (match tracer with
-  | Some tr ->
-    Trace.set_pid tr gen;
-    Trace.attach tr
-  | None -> Cml.Probe.clear ());
+let start_wave (type r) ~gen ~stats ~new_event ~mode ~dispatch ~history
+    ~tracer ~policy ~observer ~pool ~owned_pool pl (root : r Signal.t) : r t =
   let node_count = Compile.node_count pl in
-  stats.Stats.fused_nodes <- (if fuse then original_nodes - node_count else 0);
-  stats.Stats.compiled_regions <- List.length (Compile.regions pl);
   (* Plain per-slot pending-value queues: pushed by injectors and the
      flush, never during a wave, and popped only by the owning region's
      source op inside one, so no queue is touched from two domains at
@@ -756,27 +838,7 @@ let start_wave : type r.
     | Some q -> q
     | None -> invalid_arg "Runtime: not a source slot"
   in
-  (* Wire the input pushes: value first, notification second, exactly as
-     the other backends do, so the wave finds the value waiting. *)
-  List.iter
-    (fun (Signal.Pack s) ->
-      let id = Signal.id s in
-      let sl =
-        match Compile.slot_of pl id with Some sl -> sl | None -> assert false
-      in
-      let push v =
-        Queue.push (Obj.repr v) (queue_exn sl);
-        Mailbox.send new_event id
-      in
-      Signal.set_inst s
-        {
-          Signal.gen;
-          out =
-            Multicast.create ~name:(Printf.sprintf "in:%d:%s" id (Signal.name s))
-              ();
-          push = Some push;
-        })
-    (Compile.inputs pl);
+  wire_inputs ~gen ~new_event pl (fun sl v -> Queue.push v (queue_exn sl));
   let nworkers = match pool with Some p -> Pool.domains p | None -> 1 in
   let dstats = Array.init nworkers (fun _ -> Stats.create ()) in
   let rt =
@@ -856,10 +918,7 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   | Some n when n < 0 -> invalid_arg "Runtime.start: negative history"
   | _ -> ());
   (match mutate with
-  | Some
-      ( Drop_no_change n | Skip_epoch n | Reorder_wakeup n | Stale_slot_map n
-      | Skip_migration n | Leak_seam_mailbox n )
-    when n < 1 ->
+  | Some (Drop_no_change n | Skip_epoch n | Reorder_wakeup n) when n < 1 ->
     invalid_arg "Runtime.start: mutation occurrence must be >= 1"
   | _ -> ());
   (match on_node_error with
@@ -906,8 +965,36 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
   (* [fuse_cached] keeps the fused root physically stable across starts of
      the same graph, which is what lets [Compile.plan_of] hit its cache. *)
   let root = if fuse then Fuse.fuse_cached root else root in
-  if use_wave then begin
-    let owned_pool, wave_pool =
+  (* The compiled plan already ran the reachability analysis; reuse it so a
+     plan-cache hit skips the whole build-time analysis, not just the op
+     compilation. *)
+  let plan =
+    match backend with
+    | Compiled -> Some (Compile.plan_of root)
+    | Pipelined -> None
+  in
+  let reach =
+    match plan with Some pl -> Compile.reach pl | None -> Reach.analyze root
+  in
+  let gen = fresh_generation () in
+  let stats = Stats.create () in
+  let new_event = Mailbox.create ~name:"newEvent" () in
+  (* The cml probe is process-wide: install it for this runtime, or clear a
+     leftover one so an untraced runtime never records into a stale tracer.
+     The scheduler also clears it when the enclosing [Cml.run] finishes. *)
+  (match tracer with
+  | Some tr ->
+    Trace.set_pid tr gen;
+    Trace.attach tr
+  | None -> Cml.Probe.clear ());
+  let node_count = Reach.node_count reach in
+  stats.fused_nodes <- (if fuse then original_nodes - node_count else 0);
+  Option.iter
+    (fun pl -> stats.compiled_regions <- List.length (Compile.regions pl))
+    plan;
+  match plan with
+  | Some pl when use_wave ->
+    let owned_pool, pool =
       match pool with
       | Some p -> (None, Some p)
       | None -> (
@@ -917,21 +1004,9 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
           (Some p, Some p)
         | _ -> (None, None))
     in
-    start_wave ~mode ~dispatch ~history ~tracer ~policy:on_node_error ~observer
-      ~original_nodes ~fuse ~pool:wave_pool ~owned_pool root
-  end
-  else
-  let gen = fresh_generation () in
-  let stats = Stats.create () in
-  let new_event = Mailbox.create ~name:"newEvent" () in
-  (* The compiled plan already ran the reachability analysis; reuse it so a
-     plan-cache hit skips the whole build-time analysis, not just the op
-     compilation. *)
-  let reach =
-    match backend with
-    | Compiled -> Compile.reach (Compile.plan_of root)
-    | Pipelined -> Reach.analyze root
-  in
+    start_wave ~gen ~stats ~new_event ~mode ~dispatch ~history ~tracer
+      ~policy:on_node_error ~observer ~pool ~owned_pool pl root
+  | _ ->
   let ctx =
     {
       rt_gen = gen;
@@ -958,32 +1033,21 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
       c_sources = [];
     }
   in
-  (* The cml probe is process-wide: install it for this runtime, or clear a
-     leftover one so an untraced runtime never records into a stale tracer.
-     The scheduler also clears it when the enclosing [Cml.run] finishes. *)
-  (match tracer with
-  | Some tr ->
-    Trace.set_pid tr ctx.rt_gen;
-    Trace.attach tr
-  | None -> Cml.Probe.clear ());
-  let node_count = Reach.node_count reach in
-  stats.Stats.fused_nodes <- (if fuse then original_nodes - node_count else 0);
   (* Per-backend instantiation. Both produce the same dispatcher inputs: a
-     display channel, the number of wakeup targets of an event, its cone
-     size (the nodes it reaches: every node outside the cone is an elided
-     emission the dispatcher owes, and the trace's dispatch row reports the
-     cone), and a sender waking the targets with a round. The senders are
-     plain index loops: an [Array.iter] would allocate a fresh closure over
-     the round per event. *)
-  let display_channel, count_targets, cone_of, wake_targets, rt_sources =
-    match backend with
-    | Pipelined ->
+     display channel and the per-event step that bills the round and wakes
+     its targets. *)
+  let display_channel, dispatch_round, rt_sources =
+    match plan with
+    | None ->
       (* One thread per node, one channel per edge (Fig. 10). Wakeup
          delivery plan: per source id, the affected cone's mailboxes in
          topological order; the flood plan is every node. Computed once at
-         build time — dispatching an event is then one array iteration.
-         Every woken node sends (or drops into) exactly one accounted
-         message, so the woken nodes are the cone. *)
+         build time — dispatching an event is then one array iteration
+         (a plain index loop: an [Array.iter] would allocate a fresh
+         closure over the round per event). Every woken node sends (or
+         drops into) exactly one accounted message, so the woken nodes are
+         the cone, and every node outside it is an elided emission the
+         dispatcher owes. *)
       let root_inst = build ctx root in
       let mailboxes_of nodes =
         Array.of_list
@@ -1003,71 +1067,26 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
         | Cone -> (
           match Hashtbl.find_opt cones eid with Some c -> c | None -> [||])
       in
-      let wake eid r =
+      let round eid =
+        stats.events <- stats.events + 1;
+        let r = { epoch = stats.events; source = eid } in
         let t = targets eid in
-        for i = 0 to Array.length t - 1 do
+        let cone = Array.length t in
+        stats.notified_nodes <- stats.notified_nodes + cone;
+        stats.elided_messages <- stats.elided_messages + (node_count - cone);
+        (* Record before the wakeups go out so the dispatch timestamp lower-
+           bounds every node-start and display timestamp of this epoch. *)
+        (match tracer with
+        | None -> ()
+        | Some tr -> Trace.dispatch tr ~source:eid ~epoch:r.epoch ~targets:cone);
+        for i = 0 to cone - 1 do
           send_round ctx (Array.unsafe_get t i) r
         done
       in
-      let count eid = Array.length (targets eid) in
-      (root_inst.Signal.out, count, count, wake, List.rev ctx.c_sources)
-    | Compiled ->
-      (* One step thread per synchronous region (see Compile): the
-         dispatcher wakes regions instead of nodes. A woken region accounts
-         one emission per member the round reaches (the root's is the real
-         display message, the rest are elided in place), so the dispatcher
-         owes only the nodes outside the firing source's cone. *)
-      let cfg =
-        {
-          Compile.cfg_gen = ctx.rt_gen;
-          cfg_flood = (dispatch = Flood);
-          cfg_stats = stats;
-          cfg_tracer = tracer;
-          cfg_capacity = queue_capacity;
-          cfg_account =
-            (fun ~node ~epoch ~changed ~real ->
-              account ctx ~id:node ~epoch ~changed ~real);
-          cfg_guards = Exec.guards on_node_error ~stats ~tracer ~offset:0;
-          cfg_fire_async =
-            (fun id ->
-              stats.Stats.async_events <- stats.Stats.async_events + 1;
-              Mailbox.send new_event id);
-          cfg_notify = (fun id -> Mailbox.send new_event id);
-        }
-      in
-      let inst = Compile.instantiate cfg root in
-      stats.Stats.compiled_regions <- List.length inst.Compile.i_regions;
-      let pl = inst.Compile.i_plan in
-      let all_regions =
-        Array.of_list
-          (List.map (fun rr -> rr.Compile.rr_wake) inst.Compile.i_regions)
-      in
-      let all_idxs = Array.init (Array.length all_regions) Fun.id in
-      (* Region mailboxes are in region index order, so the plan's wake
-         table names the targets directly. *)
-      let targets eid =
-        match dispatch with
-        | Flood -> all_idxs
-        | Cone -> (Compile.wake pl eid).Compile.w_regions
-      in
-      let wake eid r =
-        let t = targets eid in
-        for i = 0 to Array.length t - 1 do
-          send_round ctx
-            (Array.unsafe_get all_regions (Array.unsafe_get t i))
-            r
-        done
-      in
-      let cone eid =
-        match dispatch with
-        | Flood -> node_count
-        | Cone -> (Compile.wake pl eid).Compile.w_cone
-      in
-      ( inst.Compile.i_out,
-        (fun eid -> Array.length (targets eid)),
-        cone,
-        wake,
-        inst.Compile.i_sources )
+      (root_inst.Signal.out, round, List.rev ctx.c_sources)
+    | Some pl ->
+      let out, round = start_regions ctx pl root in
+      (out, round, Compile.sources pl)
   in
   let rt =
     new_rt ~gen ~mode ~dispatch ~stats ~new_event ~nodes:node_count ~history
@@ -1096,27 +1115,17 @@ let start ?(backend : backend = Pipelined) ?(mode = Pipelined) ?dispatch
       display ());
   (* Global event dispatcher (Fig. 11), upgraded: instead of broadcasting to
      every source and flooding one message down every edge, it wakes exactly
-     the nodes in the firing source's cone. Nodes outside the cone stay
-     quiescent; their would-be [No_change] emissions are counted as elided
-     and synthesized by receivers from epoch gaps. In [Sequential] mode it
-     waits for the display loop's acknowledgement — but only when the event
-     can reach the display at all. *)
+     the nodes (or regions) in the firing source's cone. Nodes outside the
+     cone stay quiescent; their would-be [No_change] emissions are counted
+     as elided and synthesized by receivers from epoch gaps. In
+     [Sequential] mode it waits for the display loop's acknowledgement —
+     but only when the event can reach the display at all. *)
   Cml.spawn (fun () ->
       let rec dispatch_loop pending =
         let eid =
           match pending with Some e -> e | None -> Mailbox.recv new_event
         in
-        stats.events <- stats.events + 1;
-        let r = { epoch = stats.events; source = eid } in
-        let cone = cone_of eid in
-        stats.notified_nodes <- stats.notified_nodes + count_targets eid;
-        stats.elided_messages <- stats.elided_messages + (node_count - cone);
-        (* Record before the wakeups go out so the dispatch timestamp lower-
-           bounds every node-start and display timestamp of this epoch. *)
-        (match tracer with
-        | None -> ()
-        | Some tr -> Trace.dispatch tr ~source:eid ~epoch:r.epoch ~targets:cone);
-        wake_targets eid r;
+        dispatch_round eid;
         stats.switches <- Cml.Scheduler.switch_count ();
         (match mode with
         | Sequential when reaches_root eid -> Mailbox.recv ack

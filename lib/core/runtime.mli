@@ -110,21 +110,6 @@ type mutation =
   | Reorder_wakeup of int
       (** Hold the nth dispatcher wakeup admit and deliver it after the next
           round bound for the same node — an out-of-order mailbox admit. *)
-  | Stale_slot_map of int
-      (** {e Upgrade mutation} (applied by [Serve.Dispatcher.upgrade_all],
-          not by this runtime): rotate the nth upgrade's matched-slot
-          mapping by one position, as if the remap table were stale —
-          values land in a neighbouring slot of the new arena layout. *)
-  | Skip_migration of int
-      (** {e Upgrade mutation}: apply the nth upgrade without running the
-          user-supplied [?migrate] functions, so migrated state keeps its
-          old representation under the new program's code. *)
-  | Leak_seam_mailbox of int
-      (** {e Upgrade mutation}: the nth upgrade forgets the old seam
-          mailboxes (the sessions' pending-value queues) instead of
-          transferring their contents onto the new slot layout, so the
-          remapped ready-queue entries promise values that are gone — the
-          next drain pops an empty queue. *)
 
 type 'a t
 (** A running instantiation of a signal graph with output type ['a]. *)
@@ -205,17 +190,21 @@ val start :
     data-independent region groups (the plan's SCC-condensed dependency
     DAG, {!Compile.group_deps}) concurrently on a domain pool, flushing
     async/delay/display effects afterwards in (admission epoch, group)
-    order — change traces are bit-identical to the sequential dispatcher
-    (property-checked by [Check.Explore]'s [Domains] policy and gated by
-    bench B19). Region steps run atomically in virtual time: a step that
-    charges virtual cost ([Cml.sleep] inside a lift) delays the whole
-    wave's flush, so async programs with costly branches keep their
-    values and per-source order but may stamp displays later than the
-    threaded dispatcher would; such costs are only supported inline
-    (single-group waves or [~domains:1]) — on a pool worker the
-    scheduler is unavailable and the step fails under the node's
-    supervision policy. [~domains:k] with [k > 1] creates a private pool closed by
-    {!stop}; [~domains:1] runs waves inline with no pool (the sequential
+    order. Change traces, displayed values and virtual times are identical
+    for every domain count to those of [~domains:1] (property-checked by
+    [Check.Explore]'s [Domains] policy and gated by bench B19); on
+    async-free programs the change trace is also the threaded
+    dispatcher's. Region steps run
+    atomically in virtual time: a step that charges virtual cost
+    ([Cml.sleep] inside a lift) delays the whole wave's flush, so an
+    async program with a costly branch keeps its values and per-source
+    order but has every display of that wave stamped at the flush — the
+    Sec. 5 [async_search] example shows its mouse at t = 1.1, 1.2, 1.3
+    under the threaded dispatcher and all three at t = 3.0 under the
+    wave. Such costs are only supported inline (single-group waves or
+    [~domains:1]): on a pool worker the scheduler is unavailable and the
+    step fails under the node's supervision policy. [~domains:k] with
+    [k > 1] creates a private pool closed by {!stop}; [~domains:1] runs waves inline with no pool (the sequential
     wave baseline); [~pool] borrows a caller-owned pool (never closed
     here) and takes precedence over [domains]. The wave coordinator
     needs [backend = Compiled] with memoization on, and supports neither

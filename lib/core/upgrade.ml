@@ -17,7 +17,12 @@
    value from the next event on. The serve layer (Session.upgrade /
    Dispatcher.upgrade_all) owns the other half of the seam: queue and
    delay-heap remapping, which is where the planted upgrade mutations
-   ([Runtime.Stale_slot_map] etc.) hook in via [remap]'s flags. *)
+   ([mutation] below) hook in via [remap]'s flags. *)
+
+type mutation =
+  | Stale_slot_map of int
+  | Skip_migration of int
+  | Leak_seam_mailbox of int
 
 type migration = {
   m_name : string;
@@ -185,7 +190,7 @@ let obj_array n fill =
    [stale_map] rotates the matched-slot assignment by one — not an
    identity permutation, so any program with >= 2 matched stateful or
    observable slots detects it; [skip_migration] drops the user migration
-   and copies raw. The third ([Runtime.Leak_seam_mailbox]) is a
+   and copies raw. The third ([Leak_seam_mailbox]) is a
    dispatcher-side bookkeeping bug and hooks into Dispatcher.upgrade_all
    instead. *)
 let remap ?(stale_map = false) ?(skip_migration = false) p

@@ -61,8 +61,32 @@ val remap :
     The flags plant upgrade bugs for the mutation-testing catalogue and
     are driven by [Serve.Dispatcher.upgrade_all]'s [?mutate]:
     [stale_map] rotates the matched-slot assignment by one
-    ({!Runtime.mutation.Stale_slot_map}); [skip_migration] copies raw
-    values past the user migration ({!Runtime.mutation.Skip_migration}). *)
+    ({!mutation.Stale_slot_map}); [skip_migration] copies raw
+    values past the user migration ({!mutation.Skip_migration}). *)
+
+(** {1 Planted upgrade bugs} *)
+
+(** An upgrade bug planted for the mutation-testing catalogue
+    ([Check.Mutate]), passed as [Serve.Dispatcher.upgrade_all ?mutate].
+    The [int] picks the nth upgrade (1-based) of one dispatcher. Its own
+    type, apart from {!Runtime.mutation}, so a mutation can only be
+    handed to the seam that plants it. Never used outside tests and
+    benches. *)
+type mutation =
+  | Stale_slot_map of int
+      (** Rotate the nth upgrade's matched-slot mapping by one position,
+          as if the remap table were stale: values land in a neighbouring
+          slot of the new arena layout. *)
+  | Skip_migration of int
+      (** Apply the nth upgrade without running the user-supplied
+          [?migrate] functions, so migrated state keeps its old
+          representation under the new program's code. *)
+  | Leak_seam_mailbox of int
+      (** The nth upgrade forgets the old seam mailboxes (the sessions'
+          pending-value queues) instead of transferring their contents
+          onto the new slot layout, so the remapped ready-queue entries
+          promise values that are gone: the next drain pops an empty
+          queue. *)
 
 (** {1 Inspection} *)
 

@@ -241,13 +241,13 @@ let upgrade_all ?migrate ?mutate d new_root =
   d.d_upgrades <- d.d_upgrades + 1;
   let occ = d.d_upgrades in
   let planted spec =
-    match (mutate : Runtime.mutation option) with
+    match (mutate : Upgrade.mutation option) with
     | Some m when m = spec occ -> true
     | _ -> false
   in
-  let stale_map = planted (fun n -> Runtime.Stale_slot_map n) in
-  let skip_migration = planted (fun n -> Runtime.Skip_migration n) in
-  let leak_mailbox = planted (fun n -> Runtime.Leak_seam_mailbox n) in
+  let stale_map = planted (fun n -> Upgrade.Stale_slot_map n) in
+  let skip_migration = planted (fun n -> Upgrade.Skip_migration n) in
+  let leak_mailbox = planted (fun n -> Upgrade.Leak_seam_mailbox n) in
   Compile.clear_plan_cache ();
   let new_root = if d.d_fuse then Fuse.fuse_cached new_root else new_root in
   let new_plan = Compile.plan_of new_root in

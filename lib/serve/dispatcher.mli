@@ -125,7 +125,7 @@ val drain_intra : ?seed:int -> 'a t -> int
 
 val upgrade_all :
   ?migrate:Upgrade.migration list ->
-  ?mutate:Runtime.mutation ->
+  ?mutate:Upgrade.mutation ->
   'a t ->
   'a Signal.t ->
   Upgrade.patch
@@ -150,7 +150,7 @@ val upgrade_all :
     always sees consistent arenas.
 
     [mutate] plants one of the upgrade bugs of the mutation-testing
-    catalogue ({!Runtime.mutation.Stale_slot_map},
+    catalogue ({!Upgrade.mutation.Stale_slot_map},
     [Skip_migration], [Leak_seam_mailbox]); the occurrence [n] counts
     [upgrade_all] calls on this dispatcher. Not for applications. *)
 

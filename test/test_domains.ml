@@ -248,6 +248,28 @@ let test_run_dag_error_releases_dependents () =
   (* the pool survives a failed batch *)
   Pool.run_dag pool ~deps:[| [] |] [| (fun _w -> ()) |]
 
+(* Worker counters are billed before each task's completion is
+   published, so a read right after the barrier already counts every
+   task of the batch, on both batch shapes. Billing a worker's counts only
+   after its loop ended read short in a few batches per thousand on a
+   2-domain pool. *)
+let test_worker_stats_exact () =
+  let pool = pool_of 2 in
+  Pool.reset_worker_stats pool;
+  let tasks = Array.make 8 (fun _w -> ()) in
+  let deps = Array.make 8 [] in
+  let total () =
+    Array.fold_left (fun n w -> n + w.Pool.ws_tasks) 0 (Pool.worker_stats pool)
+  in
+  let short = ref 0 in
+  for i = 1 to 2000 do
+    Pool.run ~seed:i pool tasks;
+    if total () <> (16 * i) - 8 then incr short;
+    Pool.run_dag ~seed:i pool ~deps tasks;
+    if total () <> 16 * i then incr short
+  done;
+  check_int "batches whose task total read short" 0 !short
+
 (* ------------------------------------------------------------------ *)
 (* Satellite: atomic generation minting *)
 
@@ -362,6 +384,8 @@ let () =
           tc "bad input rejected" `Quick test_run_dag_rejects_bad_input;
           tc "task error releases dependents" `Quick
             test_run_dag_error_releases_dependents;
+          tc "worker_stats exact after every batch" `Quick
+            test_worker_stats_exact;
         ] );
       ( "generation",
         [

@@ -23,11 +23,11 @@ let load name =
   let ty = Felm.Typecheck.check_program program in
   (program, ty)
 
-let run name =
+let run ?backend name =
   let program, _ = load name in
   let events = Felm.Trace.parse (read_file (dir ^ name ^ ".trace")) in
   Felm.Trace.validate program events;
-  Felm.Interp.run program ~trace:events
+  Felm.Interp.run ?backend program ~trace:events
 
 let shown outcome =
   List.map (fun (_, v) -> Felm.Value.show v) outcome.Felm.Interp.displays
@@ -64,8 +64,8 @@ let test_wordpairs () =
     [ "(hello, bonjour)"; "(world, monde)"; "(thanks, merci)" ]
     (shown (run "wordpairs"))
 
-let test_async_search_is_responsive () =
-  let outcome = run "async_search" in
+(* Sec. 5: the mouse stays live while the 2 s lookup runs behind [async]. *)
+let check_async_search_responsive outcome =
   (* mouse updates land promptly despite the 2s lookup... *)
   let mouse_updates =
     List.filter
@@ -84,6 +84,16 @@ let test_async_search_is_responsive () =
          | Felm.Value.Vpair (_, Felm.Value.Vstring "6") -> t >= 3.0
          | _ -> false)
        outcome.Felm.Interp.displays)
+
+let test_async_search_is_responsive () =
+  check_async_search_responsive (run "async_search")
+
+(* The same under the compiled backend's threaded region dispatcher, the
+   default of [felmc run]: the lookup's region blocks only its own thread,
+   so the mouse regions keep displaying. *)
+let test_async_search_responsive_compiled () =
+  check_async_search_responsive
+    (run ~backend:Elm_core.Runtime.Compiled "async_search")
 
 let test_history () =
   Alcotest.(check (list string))
@@ -150,6 +160,8 @@ let () =
           tc "relative (Fig. 7)" `Quick test_relative;
           tc "wordpairs" `Quick test_wordpairs;
           tc "async_search responsive" `Quick test_async_search_is_responsive;
+          tc "async_search responsive (compiled)" `Quick
+            test_async_search_responsive_compiled;
           tc "poly (let-polymorphism)" `Quick test_poly;
           tc "history (lists)" `Quick test_history;
           tc "all compile to valid JS" `Quick test_all_compile_to_valid_js;
